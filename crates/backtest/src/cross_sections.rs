@@ -136,27 +136,39 @@ impl CrossSections {
         &self.valid
     }
 
-    /// Copies every row (and its validity flag) of `src` into `self`
-    /// starting at row `first_row`. This is the serving router's merge
-    /// primitive: per-shard prediction blocks concatenate into one panel
-    /// without intermediate allocations.
+    /// Copies rows `src_rows` of `src` (and their validity flags) into
+    /// `self` starting at row `first_row`. This is the serving router's
+    /// merge primitive: per-shard prediction blocks interleave into one
+    /// panel without intermediate allocations.
     ///
     /// # Panics
-    /// If the stock counts differ or `src` does not fit at `first_row`.
-    pub fn copy_rows_from(&mut self, first_row: usize, src: &CrossSections) {
+    /// If the stock counts differ, `src_rows` is out of bounds for `src`,
+    /// or the rows do not fit at `first_row`.
+    pub fn copy_rows_from(
+        &mut self,
+        first_row: usize,
+        src: &CrossSections,
+        src_rows: std::ops::Range<usize>,
+    ) {
         assert_eq!(
             self.n_stocks, src.n_stocks,
             "row widths must match to merge blocks"
         );
         assert!(
-            first_row + src.n_days <= self.n_days,
-            "block of {} rows does not fit at row {first_row} of {}",
-            src.n_days,
+            src_rows.start <= src_rows.end && src_rows.end <= src.n_days,
+            "rows {src_rows:?} out of bounds for a {}-row block",
+            src.n_days
+        );
+        let n = src_rows.len();
+        assert!(
+            first_row + n <= self.n_days,
+            "block of {n} rows does not fit at row {first_row} of {}",
             self.n_days
         );
         let k = self.n_stocks;
-        self.data[first_row * k..(first_row + src.n_days) * k].copy_from_slice(&src.data);
-        self.valid[first_row..first_row + src.n_days].copy_from_slice(&src.valid);
+        self.data[first_row * k..(first_row + n) * k]
+            .copy_from_slice(&src.data[src_rows.start * k..src_rows.end * k]);
+        self.valid[first_row..first_row + n].copy_from_slice(&src.valid[src_rows]);
     }
 
     /// Number of valid days.
@@ -276,12 +288,18 @@ mod tests {
         let mut a = CrossSections::from_fn(2, 3, |d, s| (10 * d + s) as f64);
         a.invalidate_day(1);
         let b = CrossSections::from_fn(3, 3, |d, s| (100 * d + s) as f64);
-        dst.copy_rows_from(0, &a);
-        dst.copy_rows_from(2, &b);
+        dst.copy_rows_from(0, &a, 0..2);
+        dst.copy_rows_from(2, &b, 0..3);
         assert_eq!(dst.row(0), a.row(0));
         assert_eq!(dst.row(1), a.row(1));
         assert_eq!(dst.row(4), b.row(2));
         assert_eq!(dst.validity(), &[true, false, true, true, true]);
+        // A sub-block lands alone: only rows 1..3 of `b` move.
+        dst.copy_rows_from(0, &b, 1..3);
+        assert_eq!(dst.row(0), b.row(1));
+        assert_eq!(dst.row(1), b.row(2));
+        assert_eq!(dst.row(2), b.row(0));
+        assert_eq!(dst.validity(), &[true, true, true, true, true]);
     }
 
     #[test]
@@ -289,7 +307,7 @@ mod tests {
     fn copy_rows_from_rejects_overflow() {
         let mut dst = CrossSections::new(2, 3);
         let src = CrossSections::new(2, 3);
-        dst.copy_rows_from(1, &src);
+        dst.copy_rows_from(1, &src, 0..2);
     }
 
     #[test]

@@ -17,16 +17,16 @@
 //! * **A batch prediction server** ([`server::AlphaServer`]) — compiles
 //!   every archived program once, trains it once, then sweeps one
 //!   [`DayMajorPanel`](alphaevolve_market::DayMajorPanel) day across the
-//!   whole batch per panel load, multi-threadable over programs with
-//!   per-worker arenas. Warm requests allocate nothing.
+//!   whole batch per panel load, one warm arena per worker thread. Warm
+//!   requests allocate nothing.
 //! * **A transport-agnostic serving API** — the [`service::AlphaService`]
 //!   trait (serve a day, serve a range, report capabilities) implemented
 //!   by the server directly, by [`transport::ServiceClient`] over any
 //!   byte stream (in-process [`transport::Loopback`] pipes or Unix
 //!   domain sockets speaking the [`wire`] protocol: the same AEVS
 //!   magic/version/CRC frames as the files, as stream messages), and by
-//!   the [`router::ShardedRouter`], which fans a day request out to N
-//!   shard replicas and merges the blocks bit-identically to a single
+//!   the [`router::ShardedRouter`], which fans a day or range request out
+//!   to N shard replicas and merges the blocks bit-identically to a single
 //!   server — routers are services, so fleets nest and hide behind the
 //!   same trait.
 //!

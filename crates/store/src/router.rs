@@ -1,15 +1,19 @@
-//! The day-request router: one [`AlphaService`] face over N shard
-//! replicas, each serving a partition of the alpha pool.
+//! The request router: one [`AlphaService`] face over N shard replicas,
+//! each serving a partition of the alpha pool.
 //!
 //! The archive codec makes programs cheap to ship, so the natural
 //! scale-out is to split an archive's programs across replicas
-//! ([`partition_archive`]) and put a router in front: a day request fans
-//! out to every shard (via [`AlphaService::prefetch_day`], so remote
-//! shards compute concurrently), and the per-shard prediction blocks
-//! merge back into one [`CrossSections`] panel in archive order —
+//! ([`partition_archive`]) and put a router in front: a day or range
+//! request fans out to every shard (via [`AlphaService::prefetch_day`] /
+//! [`AlphaService::prefetch_range`], so remote shards compute
+//! concurrently), and the per-shard prediction blocks merge back into one
+//! [`CrossSections`] panel in archive order, day-major for ranges —
 //! **bit-identical** to what a single un-sharded
 //! [`AlphaServer`] returns for the same
-//! request (pinned by `crates/store/tests/service.rs`).
+//! request (pinned by `crates/store/tests/service.rs`). A range is
+//! checked against the handshake's servable window before any shard is
+//! asked, so a hostile range (one a router re-exported over the wire can
+//! receive) is refused typed instead of sizing the merge panel from it.
 //!
 //! [`ShardedRouter`] itself implements [`AlphaService`], so:
 //!
@@ -37,11 +41,11 @@ use alphaevolve_obs::MetricsSnapshot;
 use crate::archive::AlphaArchive;
 use crate::error::{Result, ServiceErrorCode, StoreError};
 use crate::server::AlphaServer;
-use crate::service::{AlphaService, ServiceMetadata};
+use crate::service::{check_window, AlphaService, ServiceMetadata};
 use crate::transport::{loopback, serve_connection, Loopback, ServiceClient};
 
-/// Fans day requests out to shard services and merges their prediction
-/// blocks; see the [module docs](self).
+/// Fans day and range requests out to shard services and merges their
+/// prediction blocks; see the [module docs](self).
 pub struct ShardedRouter<S: AlphaService> {
     shards: Vec<S>,
     /// Alphas per shard, in shard order (row offsets of the merge).
@@ -116,6 +120,38 @@ impl<S: AlphaService> ShardedRouter<S> {
     pub fn n_shards(&self) -> usize {
         self.shards.len()
     }
+
+    /// The collect → merge loop behind both request kinds, run after the
+    /// request has fanned out to every shard (`prefetch_day` /
+    /// `prefetch_range`), so the shards compute concurrently while `serve`
+    /// reads their blocks back in shard order. Each shard answers
+    /// `n_days · sb` rows, day-major over its `sb` alphas; the merged
+    /// panel is day-major over all alphas, so every day's block lands at
+    /// that day's row offset plus the shard's alpha offset. A day is the
+    /// `n_days = 1` case.
+    fn collect(
+        &mut self,
+        n_days: usize,
+        out: &mut CrossSections,
+        mut serve: impl FnMut(&mut S, &mut CrossSections) -> Result<()>,
+    ) -> Result<()> {
+        let b = self.meta.n_alphas;
+        let k = self.meta.n_stocks;
+        out.reset(n_days * b, k);
+        let mut offset = 0;
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            serve(shard, &mut self.scratch)?;
+            let sb = self.shard_alphas[i];
+            if self.scratch.n_days() != n_days * sb || self.scratch.n_stocks() != k {
+                return Err(shard_shape_error(i, &self.scratch, n_days * sb));
+            }
+            for d in 0..n_days {
+                out.copy_rows_from(d * b + offset, &self.scratch, d * sb..(d + 1) * sb);
+            }
+            offset += sb;
+        }
+        Ok(())
+    }
 }
 
 impl<S: AlphaService> AlphaService for ShardedRouter<S> {
@@ -130,52 +166,26 @@ impl<S: AlphaService> AlphaService for ShardedRouter<S> {
         Ok(())
     }
 
-    fn serve_day(&mut self, day: usize, out: &mut CrossSections) -> Result<()> {
-        out.reset(self.meta.n_alphas, self.meta.n_stocks);
-        // Fan out first: every remote shard starts computing before the
-        // router blocks on the first response.
+    fn prefetch_range(&mut self, days: Range<usize>) -> Result<()> {
         for shard in &mut self.shards {
-            shard.prefetch_day(day)?;
-        }
-        let mut row = 0;
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.serve_day(day, &mut self.scratch)?;
-            if self.scratch.n_days() != self.shard_alphas[i]
-                || self.scratch.n_stocks() != self.meta.n_stocks
-            {
-                return Err(shard_shape_error(i, &self.scratch, self.shard_alphas[i]));
-            }
-            out.copy_rows_from(row, &self.scratch);
-            row += self.shard_alphas[i];
+            shard.prefetch_range(days.clone())?;
         }
         Ok(())
     }
 
+    fn serve_day(&mut self, day: usize, out: &mut CrossSections) -> Result<()> {
+        self.prefetch_day(day)?;
+        self.collect(1, out, |shard, block| shard.serve_day(day, block))
+    }
+
     fn serve_range(&mut self, days: Range<usize>, out: &mut CrossSections) -> Result<()> {
-        let n_days = days.len();
-        let b = self.meta.n_alphas;
-        let k = self.meta.n_stocks;
-        out.reset(n_days * b, k);
-        let mut offset = 0;
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.serve_range(days.clone(), &mut self.scratch)?;
-            let sb = self.shard_alphas[i];
-            if self.scratch.n_days() != n_days * sb || self.scratch.n_stocks() != k {
-                return Err(shard_shape_error(i, &self.scratch, n_days * sb));
-            }
-            // Interleave: shard rows are day-major over sb alphas; the
-            // merged panel is day-major over all b alphas.
-            for d in 0..n_days {
-                for r in 0..sb {
-                    let dst = d * b + offset + r;
-                    out.row_mut(dst)
-                        .copy_from_slice(self.scratch.row(d * sb + r));
-                    out.set_day_validity(dst, self.scratch.day_valid(d * sb + r));
-                }
-            }
-            offset += sb;
-        }
-        Ok(())
+        // A hostile window must be refused before `out` is sized from it:
+        // `days.len() × n_alphas` rows can overflow or exhaust memory.
+        check_window(days.clone(), self.meta.min_day, self.meta.n_days)?;
+        self.prefetch_range(days.clone())?;
+        self.collect(days.len(), out, |shard, block| {
+            shard.serve_range(days.clone(), block)
+        })
     }
 
     /// Scrapes every shard and merges the snapshots twice: once unlabeled

@@ -21,9 +21,14 @@
 //! train-then-predict evaluation of that day would produce — pinned by
 //! the equivalence tests in `crates/store/tests/serving.rs`.
 //!
-//! Threading: programs partition across workers, each owning one
-//! [`ServeArena`] (interpreter + nothing else). A warm arena serves a
-//! request with **zero heap allocations** (`tests/hot_path_alloc.rs`).
+//! Threading: a server is shared read-only; each worker thread or
+//! connection owns one [`ServeArena`] (interpreter + nothing else),
+//! usually inside a [`ServerSession`](crate::service::ServerSession). A
+//! warm arena serves a request with **zero heap allocations**
+//! (`tests/hot_path_alloc.rs`). To spread one request's alphas across
+//! threads, partition the archive and put a
+//! [`ShardedRouter`](crate::router::ShardedRouter) in front
+//! ([`spawn_thread_shards`](crate::router::spawn_thread_shards)).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -323,37 +328,6 @@ impl AlphaServer {
         let mut arena = self.arena();
         let mut out = CrossSections::new(0, 0);
         self.serve_day_into(&mut arena, day, &mut out);
-        out
-    }
-
-    /// Serves one day with the programs partitioned across `workers`
-    /// threads, each running its slice of the batch in its own arena.
-    /// Spawns threads and arenas per call — for sustained traffic, hold
-    /// one arena per worker thread and call
-    /// [`AlphaServer::serve_range_into`] with that worker's slice.
-    pub fn serve_day_parallel(&self, day: usize, workers: usize) -> CrossSections {
-        let k = self.dataset.n_stocks();
-        let n = self.programs.len();
-        let workers = workers.max(1).min(n.max(1));
-        let mut out = CrossSections::new(n, k);
-        if n > 0 {
-            let per = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                let mut rest = out.as_mut_slice();
-                let mut start = 0usize;
-                while start < n {
-                    let end = (start + per).min(n);
-                    let (chunk, tail) = rest.split_at_mut((end - start) * k);
-                    rest = tail;
-                    let range = start..end;
-                    scope.spawn(move || {
-                        let mut arena = self.arena();
-                        self.serve_range_into(&mut arena, day, range, chunk);
-                    });
-                    start = end;
-                }
-            });
-        }
         out
     }
 }

@@ -121,6 +121,16 @@ pub trait AlphaService {
         Ok(())
     }
 
+    /// The [`serve_range`](AlphaService::serve_range) twin of
+    /// [`prefetch_day`](AlphaService::prefetch_day): hints that a
+    /// `serve_range` for exactly `days` is imminent, so the router can
+    /// fan a range out to every shard before collecting any block. The
+    /// same rules hold: the default is a no-op, and `serve_range` must be
+    /// correct whether or not a prefetch happened.
+    fn prefetch_range(&mut self, _days: Range<usize>) -> Result<()> {
+        Ok(())
+    }
+
     /// Merges the service's metrics snapshot into `out` (see
     /// [`crate::metrics`] for the metric names). Local implementations
     /// read their server's instrument hub; remote clients scrape the

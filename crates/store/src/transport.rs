@@ -29,6 +29,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -162,13 +163,6 @@ impl Drop for Loopback {
     }
 }
 
-/// How a request was left on the stream by
-/// [`AlphaService::prefetch_day`]: the response has not been read yet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pending {
-    Day(u64),
-}
-
 /// An [`AlphaService`] over any [`Transport`]: requests are encoded as
 /// AEVS wire frames, responses decoded, typed errors surfaced as
 /// [`StoreError::Service`]. Send/receive buffers are owned and reused,
@@ -177,7 +171,9 @@ pub struct ServiceClient<T: Transport> {
     conn: T,
     send_buf: Vec<u8>,
     recv_buf: Vec<u8>,
-    pending: Option<Pending>,
+    /// A request a `prefetch_*` call left on the stream; its response
+    /// has not been read yet.
+    pending: Option<Request>,
     /// Client-side request/error/latency instruments (recording is
     /// atomic adds — the warm round trip stays allocation-free).
     metrics: ServeMetrics,
@@ -227,6 +223,31 @@ impl<T: Transport> ServiceClient<T> {
         Ok(())
     }
 
+    /// Writes `req` eagerly, unless that exact request is already pending;
+    /// a different pending request is drained first.
+    fn prefetch(&mut self, req: Request) -> Result<()> {
+        if self.pending == Some(req) {
+            return Ok(());
+        }
+        self.drain_pending()?;
+        self.send(req)?;
+        self.pending = Some(req);
+        Ok(())
+    }
+
+    /// Reads the predictions answering `req`: consumes the pending
+    /// response when a prefetch already sent `req`, otherwise drains any
+    /// stale prefetch and sends `req` now.
+    fn predictions(&mut self, req: Request, out: &mut CrossSections) -> Result<()> {
+        if self.pending == Some(req) {
+            self.pending = None;
+        } else {
+            self.drain_pending()?;
+            self.send(req)?;
+        }
+        self.read_predictions(out)
+    }
+
     fn read_predictions(&mut self, out: &mut CrossSections) -> Result<()> {
         match self.recv()? {
             KIND_PREDICTIONS_RESPONSE => {
@@ -242,7 +263,7 @@ impl<T: Transport> ServiceClient<T> {
 
     /// Counts, times, and error-classifies one client request under this
     /// client's `client_*` instruments (prefetches are not counted — the
-    /// matching `serve_day` that consumes the response is).
+    /// serve call that consumes the response is).
     fn observed<R>(
         &mut self,
         kind: RequestKind,
@@ -284,36 +305,20 @@ impl<T: Transport> AlphaService for ServiceClient<T> {
     }
 
     fn prefetch_day(&mut self, day: usize) -> Result<()> {
-        if self.pending == Some(Pending::Day(day as u64)) {
-            return Ok(());
-        }
-        self.drain_pending()?;
-        self.send(Request::ServeDay { day: day as u64 })?;
-        self.pending = Some(Pending::Day(day as u64));
-        Ok(())
+        self.prefetch(day_request(day))
+    }
+
+    fn prefetch_range(&mut self, days: Range<usize>) -> Result<()> {
+        self.prefetch(range_request(days))
     }
 
     fn serve_day(&mut self, day: usize, out: &mut CrossSections) -> Result<()> {
-        self.observed(RequestKind::Day, |c| {
-            match c.pending {
-                Some(Pending::Day(d)) if d == day as u64 => c.pending = None,
-                _ => {
-                    c.drain_pending()?;
-                    c.send(Request::ServeDay { day: day as u64 })?;
-                }
-            }
-            c.read_predictions(out)
-        })
+        self.observed(RequestKind::Day, |c| c.predictions(day_request(day), out))
     }
 
-    fn serve_range(&mut self, days: std::ops::Range<usize>, out: &mut CrossSections) -> Result<()> {
+    fn serve_range(&mut self, days: Range<usize>, out: &mut CrossSections) -> Result<()> {
         self.observed(RequestKind::Range, |c| {
-            c.drain_pending()?;
-            c.send(Request::ServeRange {
-                start: days.start as u64,
-                end: days.end as u64,
-            })?;
-            c.read_predictions(out)
+            c.predictions(range_request(days), out)
         })
     }
 
@@ -466,6 +471,17 @@ where
             }
         }
         write_message(conn, &send_buf)?;
+    }
+}
+
+fn day_request(day: usize) -> Request {
+    Request::ServeDay { day: day as u64 }
+}
+
+fn range_request(days: Range<usize>) -> Request {
+    Request::ServeRange {
+        start: days.start as u64,
+        end: days.end as u64,
     }
 }
 

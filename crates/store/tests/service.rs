@@ -6,6 +6,7 @@
 //! the fixed-seed mined alpha pinned since PR 2
 //! (fingerprint `0x60f0a96b0af11c64` on x86-64 Linux).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,8 +19,8 @@ use alphaevolve_market::{features::FeatureSet, generator::MarketConfig, Dataset,
 use alphaevolve_store::archive::{feature_set_id, AlphaArchive, ArchivedAlpha};
 use alphaevolve_store::router::{spawn_thread_shards, ShardedRouter};
 use alphaevolve_store::server::AlphaServer;
-use alphaevolve_store::service::AlphaService;
-use alphaevolve_store::transport::{serve_uds, ServiceClient};
+use alphaevolve_store::service::{AlphaService, ServerSession, ServiceMetadata};
+use alphaevolve_store::transport::{loopback, serve_connection, serve_uds, ServiceClient};
 use alphaevolve_store::{ServiceErrorCode, StoreError};
 
 /// Aborts the whole test process if the guarded section outlives the
@@ -136,6 +137,25 @@ fn assert_blocks_bit_identical(what: &str, a: &CrossSections, b: &CrossSections)
     }
 }
 
+/// Serves every 4-day chunk of the test window, plus a 1-day range,
+/// through `routed` and `direct`, requiring bit-identical blocks.
+fn assert_ranges_bit_identical(
+    what: &str,
+    ds: &Dataset,
+    direct: &mut impl AlphaService,
+    routed: &mut impl AlphaService,
+) {
+    let test = ds.test_days();
+    let chunks = test.clone().step_by(4).map(|s| s..(s + 4).min(test.end));
+    let mut reference = CrossSections::new(0, 0);
+    let mut got = CrossSections::new(0, 0);
+    for days in chunks.chain(std::iter::once(test.start..test.start + 1)) {
+        direct.serve_range(days.clone(), &mut reference).unwrap();
+        routed.serve_range(days.clone(), &mut got).unwrap();
+        assert_blocks_bit_identical(&format!("{what} range {days:?}"), &reference, &got);
+    }
+}
+
 #[test]
 fn routed_predictions_equal_direct_serving_bitwise() {
     let _watchdog = Watchdog::arm(Duration::from_secs(240), "loopback router equivalence");
@@ -175,10 +195,12 @@ fn routed_predictions_equal_direct_serving_bitwise() {
             );
         }
         // Range requests merge day-major across shards.
-        let lo = days[0];
-        session.serve_range(lo..lo + 3, &mut reference).unwrap();
-        router.serve_range(lo..lo + 3, &mut routed).unwrap();
-        assert_blocks_bit_identical(&format!("{n_shards}-shard range"), &reference, &routed);
+        assert_ranges_bit_identical(
+            &format!("{n_shards}-shard loopback"),
+            &ds,
+            &mut session,
+            &mut router,
+        );
     }
 }
 
@@ -226,6 +248,12 @@ fn uds_daemon_round_trip_equals_direct_serving_bitwise() {
                 &routed,
             );
         }
+        assert_ranges_bit_identical(
+            &format!("{n_shards}-daemon UDS"),
+            &ds,
+            &mut session,
+            &mut router,
+        );
 
         // Typed refusal crosses the socket: out-of-window day.
         let err = router.serve_day(2, &mut routed);
@@ -280,6 +308,14 @@ fn routers_compose_and_hide_behind_the_trait() {
     let mut out = CrossSections::new(0, 0);
     root.serve_day(day, &mut out).unwrap();
     assert_blocks_bit_identical("router-of-routers", &direct.serve_day(day), &out);
+    // A range fans out through both levels and merges day-major.
+    let mut reference = CrossSections::new(0, 0);
+    direct
+        .session()
+        .serve_range(day..day + 4, &mut reference)
+        .unwrap();
+    root.serve_range(day..day + 4, &mut out).unwrap();
+    assert_blocks_bit_identical("router-of-routers range", &reference, &out);
 }
 
 #[test]
@@ -345,4 +381,206 @@ fn prefetch_then_serve_is_transparent() {
     client.serve_day(day + 1, &mut fetched).unwrap();
     client.serve_day(day, &mut fetched).unwrap();
     assert_blocks_bit_identical("post-abandoned-prefetch", &plain, &fetched);
+
+    // The same rules for ranges.
+    let range = day..day + 4;
+    let other = day + 1..day + 3;
+    let mut plain_range = CrossSections::new(0, 0);
+    client.serve_range(range.clone(), &mut plain_range).unwrap();
+    let mut plain_other = CrossSections::new(0, 0);
+    client.serve_range(other.clone(), &mut plain_other).unwrap();
+    client.prefetch_range(range.clone()).unwrap();
+    client.serve_range(range.clone(), &mut fetched).unwrap();
+    assert_blocks_bit_identical("range prefetch", &plain_range, &fetched);
+    // Abandoned range prefetch, then metadata.
+    client.prefetch_range(range.clone()).unwrap();
+    assert_eq!(client.metadata().unwrap(), meta);
+    client.serve_range(range.clone(), &mut fetched).unwrap();
+    assert_blocks_bit_identical("range after metadata", &plain_range, &fetched);
+    // Abandoned range prefetch, then the range's first day.
+    client.prefetch_range(range.clone()).unwrap();
+    client.serve_day(range.start, &mut fetched).unwrap();
+    assert_blocks_bit_identical("day after range prefetch", &plain, &fetched);
+    // Abandoned range prefetch, then a different range.
+    client.prefetch_range(range.clone()).unwrap();
+    client.serve_range(other, &mut fetched).unwrap();
+    assert_blocks_bit_identical("other range after range prefetch", &plain_other, &fetched);
+    client.serve_range(range, &mut fetched).unwrap();
+    assert_blocks_bit_identical("range after lockstep checks", &plain_range, &fetched);
+}
+
+/// A hostile range must be refused typed before the router sizes its
+/// merge panel from it: `min_day..usize::MAX` overflows the row count,
+/// and `min_day..min_day + 2^40` asks for an 80 TiB panel, whose failed
+/// allocation aborts the process.
+#[test]
+fn hostile_ranges_are_refused_typed_by_the_router() {
+    let _watchdog = Watchdog::arm(Duration::from_secs(240), "hostile router ranges");
+    let (ds, features, archive) = mined_archive();
+    let cfg = AlphaConfig::default();
+    let opts = EvalOptions::default();
+    let mut router = ShardedRouter::over_threads(&archive, 2, cfg, &opts, &ds, &features).unwrap();
+    let meta = router.metadata().unwrap();
+    let lo = meta.min_day;
+    let mut out = CrossSections::new(0, 0);
+    #[allow(clippy::reversed_empty_ranges)]
+    let hostile = [lo..usize::MAX, lo..lo + (1 << 40), lo + 5..lo + 2];
+    for days in hostile {
+        let err = router.serve_range(days.clone(), &mut out);
+        assert!(
+            matches!(
+                err,
+                Err(StoreError::Service {
+                    code: ServiceErrorCode::DayOutOfRange,
+                    ..
+                })
+            ),
+            "range {days:?}: expected a typed DayOutOfRange, got {err:?}"
+        );
+    }
+    // No shard was asked, so the router still serves normally.
+    let direct =
+        AlphaServer::from_archive(&archive, cfg, &opts, Arc::clone(&ds), &features).unwrap();
+    assert_ranges_bit_identical(
+        "after hostile ranges",
+        &ds,
+        &mut direct.session(),
+        &mut router,
+    );
+}
+
+/// The same refusal over the wire: a router re-exported with
+/// `serve_connection` answers a hostile kind-4 frame with a typed error
+/// and keeps the connection serving.
+#[test]
+fn router_behind_a_connection_survives_a_hostile_range() {
+    let _watchdog = Watchdog::arm(Duration::from_secs(240), "hostile range over the wire");
+    let (ds, features, archive) = mined_archive();
+    let cfg = AlphaConfig::default();
+    let opts = EvalOptions::default();
+    let mut router = ShardedRouter::over_threads(&archive, 2, cfg, &opts, &ds, &features).unwrap();
+    let lo = router.metadata().unwrap().min_day;
+    let (mut server_end, client_end) = loopback();
+    let served = std::thread::spawn(move || serve_connection(&mut router, &mut server_end));
+    let mut client = ServiceClient::new(client_end);
+
+    let mut out = CrossSections::new(0, 0);
+    for days in [lo..usize::MAX, lo..lo + (1 << 40)] {
+        let err = client.serve_range(days.clone(), &mut out);
+        assert!(
+            matches!(
+                err,
+                Err(StoreError::Service {
+                    code: ServiceErrorCode::DayOutOfRange,
+                    ..
+                })
+            ),
+            "range {days:?} over the wire: expected a typed DayOutOfRange, got {err:?}"
+        );
+    }
+    let direct =
+        AlphaServer::from_archive(&archive, cfg, &opts, Arc::clone(&ds), &features).unwrap();
+    assert_ranges_bit_identical(
+        "after hostile frames",
+        &ds,
+        &mut direct.session(),
+        &mut client,
+    );
+    drop(client);
+    served.join().unwrap().unwrap();
+}
+
+/// Serves days normally but refuses any range starting at `refused_start`,
+/// typed — a shard that fails one range while its peers answer it.
+struct RefusingShard<'a> {
+    inner: ServerSession<'a>,
+    refused_start: usize,
+}
+
+impl AlphaService for RefusingShard<'_> {
+    fn metadata(&mut self) -> alphaevolve_store::Result<ServiceMetadata> {
+        self.inner.metadata()
+    }
+
+    fn serve_day(&mut self, day: usize, out: &mut CrossSections) -> alphaevolve_store::Result<()> {
+        self.inner.serve_day(day, out)
+    }
+
+    fn serve_range(
+        &mut self,
+        days: Range<usize>,
+        out: &mut CrossSections,
+    ) -> alphaevolve_store::Result<()> {
+        if days.start == self.refused_start {
+            return Err(StoreError::service(
+                ServiceErrorCode::Internal,
+                "this shard refuses the range",
+            ));
+        }
+        self.inner.serve_range(days, out)
+    }
+}
+
+#[test]
+fn a_shard_refusing_a_range_fails_the_request_and_keeps_the_router_in_lockstep() {
+    let _watchdog = Watchdog::arm(Duration::from_secs(240), "refused range");
+    let (ds, features, archive) = mined_archive();
+    let cfg = AlphaConfig::default();
+    let opts = EvalOptions::default();
+    let refused = ds.test_days().start;
+    let mut shards = Vec::new();
+    let mut threads = Vec::new();
+    for (i, part) in alphaevolve_store::partition_archive(&archive, 2)
+        .into_iter()
+        .enumerate()
+    {
+        let server =
+            AlphaServer::from_archive(&part, cfg, &opts, Arc::clone(&ds), &features).unwrap();
+        let (client_end, mut server_end) = loopback();
+        threads.push(std::thread::spawn(move || {
+            if i == 0 {
+                let mut shard = RefusingShard {
+                    inner: server.session(),
+                    refused_start: refused,
+                };
+                serve_connection(&mut shard, &mut server_end)
+            } else {
+                serve_connection(&mut server.session(), &mut server_end)
+            }
+        }));
+        shards.push(ServiceClient::new(client_end));
+    }
+    let mut router = ShardedRouter::new(shards).unwrap();
+
+    // Shard 0 refuses; shard 1's block is still in flight when the router
+    // returns the error.
+    let mut out = CrossSections::new(0, 0);
+    let err = router.serve_range(refused..refused + 4, &mut out);
+    assert!(
+        matches!(
+            err,
+            Err(StoreError::Service {
+                code: ServiceErrorCode::Internal,
+                ..
+            })
+        ),
+        "expected the shard's typed refusal, got {err:?}"
+    );
+    // The next day and range requests drain the stale block and match
+    // direct serving bit for bit.
+    let direct =
+        AlphaServer::from_archive(&archive, cfg, &opts, Arc::clone(&ds), &features).unwrap();
+    let day = refused + 1;
+    router.serve_day(day, &mut out).unwrap();
+    assert_blocks_bit_identical("day after refused range", &direct.serve_day(day), &out);
+    let mut reference = CrossSections::new(0, 0);
+    let mut session = direct.session();
+    session.serve_range(day..day + 4, &mut reference).unwrap();
+    router.serve_range(day..day + 4, &mut out).unwrap();
+    assert_blocks_bit_identical("range after refused range", &reference, &out);
+
+    drop(router);
+    for t in threads {
+        t.join().unwrap().unwrap();
+    }
 }

@@ -142,23 +142,6 @@ fn repeated_requests_are_deterministic() {
 }
 
 #[test]
-fn parallel_serving_matches_sequential() {
-    let cfg = AlphaConfig::default();
-    let ds = dataset(9, 12);
-    let server = AlphaServer::new(cfg, &EvalOptions::default(), Arc::clone(&ds), batch(&cfg));
-    let day = ds.test_days().start;
-    let sequential = server.serve_day(day);
-    for workers in [1, 2, 3, 8] {
-        let parallel = server.serve_day_parallel(day, workers);
-        assert_eq!(
-            sequential.as_slice(),
-            parallel.as_slice(),
-            "{workers}-worker serve diverged"
-        );
-    }
-}
-
-#[test]
 fn from_archive_rejects_foreign_feature_sets() {
     let cfg = AlphaConfig::default();
     let ds = dataset(11, 10);

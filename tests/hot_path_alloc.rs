@@ -310,6 +310,31 @@ fn evaluation_hot_path_is_allocation_free_once_warm() {
         after - before,
         days.len()
     );
+    // Routed ranges take the same fan-out + merge: both shards get the
+    // range before either block is read, and each day's shard block is
+    // interleaved into the merged panel in place.
+    let ranges: Vec<std::ops::Range<usize>> = days.iter().map(|&d| d..d + 4).collect();
+    for range in ranges.iter().take(2) {
+        router
+            .serve_range(range.clone(), &mut routed)
+            .expect("warm-up range");
+    }
+    let before = allocations();
+    for range in &ranges {
+        router
+            .serve_range(range.clone(), &mut routed)
+            .expect("routed range");
+        routed_checksum += routed.row(0)[0] + routed.row(routed.n_days() - 1)[1];
+    }
+    let after = allocations();
+    assert!(routed_checksum.is_finite());
+    assert_eq!(
+        after - before,
+        0,
+        "routed range serving allocated on the hot path ({} allocations over {} ranges)",
+        after - before,
+        ranges.len()
+    );
     // And the routed bits are the directly-served bits.
     server.serve_day_into(&mut serve_arena, days[0], &mut plane);
     router
