@@ -14,7 +14,7 @@ use alphaevolve_bench::{
 use alphaevolve_core::kernels::{self, RankCache};
 use alphaevolve_core::relation::rank_within;
 use alphaevolve_core::{
-    compile, compile_into, init, AlphaProgram, ColumnarInterpreter, CompileScratch,
+    compile, compile_into, init, liveness, AlphaProgram, ColumnarInterpreter, CompileScratch,
     CompiledProgram, GroupIndex, Interpreter,
 };
 use alphaevolve_market::DayMajorPanel;
@@ -247,6 +247,21 @@ fn benches(c: &mut Criterion) {
             (0..tile.len())
                 .map(|s| tile.fitness(s).unwrap_or(0.0))
                 .sum::<f64>()
+        });
+    });
+
+    // The expert seed alone through a B = 1 tile at paper scale, exactly
+    // as the search scores it (stateless, so only the validation sweep
+    // runs): it reads 4 of the 169 input cells, so each day's load copies
+    // 4 · 1026 values instead of the whole 13 × 13 window.
+    c.bench_function("interp/evaluate_formulaic_alpha_1026", |b| {
+        let mut tile = paper_ev.batch_arena(1);
+        let skip = !liveness(&expert).stateful;
+        b.iter(|| {
+            tile.clear();
+            tile.push(std::hint::black_box(&expert), skip);
+            paper_ev.evaluate_batch_in(&mut tile);
+            tile.fitness(0)
         });
     });
 

@@ -18,6 +18,12 @@
 //!   into the [`RegisterFile`](crate::memory::RegisterFile) buffers, so
 //!   kernels index planes directly instead of multiplying out
 //!   `reg × plane_size` per instruction per day.
+//! * **input-cell analysis** — [`CompiledProgram::input_cells`] records
+//!   which cells of the input matrix `m0` the kept instructions can read:
+//!   an ExtractionOp reads one cell, row or column; any other read of
+//!   `m0` reads all of it. The columnar engines copy only those cells of
+//!   each day's feature window, since a cell outside the mask is never
+//!   read (the paper's formulaic alphas read a handful of the 169).
 //!
 //! Compilation is allocation-free once the caller-owned
 //! [`CompiledProgram`] and [`CompileScratch`] buffers are warm, which is
@@ -26,6 +32,7 @@
 
 use crate::config::AlphaConfig;
 use crate::instruction::Instruction;
+use crate::memory::INPUT;
 use crate::op::{Kind, Op};
 use crate::program::AlphaProgram;
 
@@ -63,6 +70,11 @@ pub struct CompiledProgram {
     pub predict: Vec<CompiledInstr>,
     /// Lowered `Update()` body.
     pub update: Vec<CompiledInstr>,
+    /// Row-major `dim × dim` mask of the `m0` cells any lowered
+    /// instruction (setup, predict or update) can read. Computed from the
+    /// register indices before any tile relocation; the engines load only
+    /// these cells of each day's input window.
+    pub input_cells: Vec<bool>,
 }
 
 impl CompiledProgram {
@@ -73,6 +85,7 @@ impl CompiledProgram {
             setup: Vec::with_capacity(cfg.max_setup_ops),
             predict: Vec::with_capacity(cfg.max_predict_ops),
             update: Vec::with_capacity(cfg.max_update_ops),
+            input_cells: Vec::with_capacity(cfg.dim * cfg.dim),
         }
     }
 
@@ -147,6 +160,32 @@ fn lower(instr: &Instruction, dim: usize, n_stocks: usize, next_slot: &mut u16) 
     }
 }
 
+/// Marks in `cells` (row-major `dim × dim`) the `m0` cells `instr` can
+/// read: one cell, row or column for an ExtractionOp whose operand is
+/// `m0`, every cell for any other op reading `m0` through either operand.
+fn mark_input_cells(instr: &Instruction, dim: usize, cells: &mut [bool]) {
+    let kinds = instr.op.input_kinds();
+    let reads = |i: usize, reg: u8| kinds.get(i) == Some(&Kind::M) && reg as usize == INPUT;
+    let (r0, r1) = (instr.ix[0] as usize, instr.ix[1] as usize);
+    if reads(1, instr.in2) {
+        cells.fill(true);
+        return;
+    }
+    if !reads(0, instr.in1) {
+        return;
+    }
+    match instr.op {
+        Op::MGet if r0 < dim && r1 < dim => cells[r0 * dim + r1] = true,
+        Op::MGetRow if r0 < dim => cells[r0 * dim..(r0 + 1) * dim].fill(true),
+        Op::MGetCol if r0 < dim => {
+            for row in cells.chunks_exact_mut(dim) {
+                row[r0] = true;
+            }
+        }
+        _ => cells.fill(true),
+    }
+}
+
 fn lower_function(
     instrs: &[Instruction],
     marks: &[bool],
@@ -154,6 +193,7 @@ fn lower_function(
     n_stocks: usize,
     next_slot: &mut u16,
     out: &mut Vec<CompiledInstr>,
+    input_cells: &mut [bool],
 ) {
     out.clear();
     for (instr, &live) in instrs.iter().zip(marks) {
@@ -166,6 +206,7 @@ fn lower_function(
         if !live && !instr.op.is_stochastic() {
             continue;
         }
+        mark_input_cells(instr, dim, input_cells);
         out.push(lower(instr, dim, n_stocks, next_slot));
     }
 }
@@ -186,6 +227,8 @@ pub fn compile_into(
         &mut scratch.update_marks,
     );
     let d = cfg.dim;
+    out.input_cells.clear();
+    out.input_cells.resize(d * d, false);
     // Rank-cache rows are numbered across the whole program so every
     // rank instruction keeps a stable row for the interpreter's lifetime.
     let mut next_slot: u16 = 0;
@@ -196,6 +239,7 @@ pub fn compile_into(
         n_stocks,
         &mut next_slot,
         &mut out.setup,
+        &mut out.input_cells,
     );
     lower_function(
         &prog.predict,
@@ -204,6 +248,7 @@ pub fn compile_into(
         n_stocks,
         &mut next_slot,
         &mut out.predict,
+        &mut out.input_cells,
     );
     lower_function(
         &prog.update,
@@ -212,6 +257,7 @@ pub fn compile_into(
         n_stocks,
         &mut next_slot,
         &mut out.update,
+        &mut out.input_cells,
     );
 }
 
@@ -224,10 +270,17 @@ pub fn compile_into(
 /// instruction targeting `m0` survives dead-code stripping (it advances
 /// the RNG streams) and still clobbers the plane.
 pub fn writes_m0(prog: &CompiledProgram) -> bool {
-    prog.setup
+    [&prog.setup, &prog.predict, &prog.update]
+        .into_iter()
+        .any(|body| writes_m0_in(body))
+}
+
+/// Whether any of the lowered (unrelocated) instructions writes `m0` —
+/// the one definition behind [`writes_m0`] and the serving layer's
+/// per-body check.
+pub fn writes_m0_in(instrs: &[CompiledInstr]) -> bool {
+    instrs
         .iter()
-        .chain(&prog.predict)
-        .chain(&prog.update)
         .any(|i| i.op != Op::NoOp && i.op.output_kind() == Kind::M && i.o == 0)
 }
 
@@ -448,6 +501,106 @@ mod tests {
         assert_eq!(c3.predict[0].o, d * d * k + d * d * k);
     }
 
+    /// The `(row, col)` cells of `m0` a program's mask marks.
+    fn marked(prog: &AlphaProgram) -> Vec<(usize, usize)> {
+        let cfg = AlphaConfig::default();
+        let d = cfg.dim;
+        let c = compile(prog, &cfg, 5);
+        assert_eq!(c.input_cells.len(), d * d);
+        (0..d * d)
+            .filter(|&i| c.input_cells[i])
+            .map(|i| (i / d, i % d))
+            .collect()
+    }
+
+    fn all_cells() -> Vec<(usize, usize)> {
+        let d = AlphaConfig::default().dim;
+        (0..d).flat_map(|r| (0..d).map(move |c| (r, c))).collect()
+    }
+
+    #[test]
+    fn input_cells_of_the_seed_alphas() {
+        let cfg = AlphaConfig::default();
+        let newest = cfg.dim - 1;
+        assert_eq!(
+            marked(&crate::init::domain_expert(&cfg)),
+            (8..=11).map(|r| (r, newest)).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            marked(&crate::init::momentum(&cfg)),
+            vec![(0, newest), (3, newest)]
+        );
+        assert_eq!(
+            marked(&crate::init::two_layer_nn(&cfg)),
+            (0..cfg.dim).map(|r| (r, newest)).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn input_cells_mark_rows_and_setup_reads() {
+        let d = AlphaConfig::default().dim;
+        let prog = AlphaProgram {
+            setup: vec![Instruction::new(
+                Op::MGet,
+                INPUT as u8,
+                0,
+                3,
+                [0.0; 2],
+                [2, 5],
+            )],
+            predict: vec![
+                Instruction::new(Op::MGetRow, INPUT as u8, 0, 2, [0.0; 2], [7, 0]),
+                i(Op::VSum, 2, 0, 4),
+                i(Op::SAdd, 3, 4, PREDICTION as u8),
+            ],
+            update: vec![Instruction::nop()],
+        };
+        let mut want: Vec<_> = (0..d).map(|c| (7, c)).collect();
+        want.push((2, 5));
+        want.sort_unstable();
+        assert_eq!(marked(&prog), want, "setup-only cell and a full row");
+    }
+
+    #[test]
+    fn stripped_m0_reads_mark_nothing() {
+        let prog = AlphaProgram {
+            setup: vec![Instruction::nop()],
+            predict: vec![
+                i(Op::MMean, INPUT as u8, 0, 2), // dead: s2 never read
+                Instruction::new(Op::MGetCol, INPUT as u8, 0, 3, [0.0; 2], [4, 0]), // dead
+                i(Op::SConst, 0, 0, PREDICTION as u8),
+            ],
+            update: vec![Instruction::nop()],
+        };
+        let c = compile(&prog, &AlphaConfig::default(), 5);
+        assert_eq!(c.predict.len(), 1, "both m0 reads must be stripped");
+        assert!(marked(&prog).is_empty());
+    }
+
+    #[test]
+    fn whole_matrix_reads_of_m0_mark_every_cell() {
+        let mean = AlphaProgram {
+            setup: vec![Instruction::nop()],
+            predict: vec![
+                i(Op::MMean, INPUT as u8, 0, 2),
+                i(Op::SAbs, 2, 0, PREDICTION as u8),
+            ],
+            update: vec![Instruction::nop()],
+        };
+        assert_eq!(marked(&mean), all_cells());
+        // m0 as the *second* operand.
+        let matmul = AlphaProgram {
+            setup: vec![Instruction::nop()],
+            predict: vec![
+                i(Op::MatMul, 3, INPUT as u8, 2),
+                i(Op::MMean, 2, 0, 2),
+                i(Op::SAbs, 2, 0, PREDICTION as u8),
+            ],
+            update: vec![Instruction::nop()],
+        };
+        assert_eq!(marked(&matmul), all_cells());
+    }
+
     #[test]
     fn compiled_program_reuse_preserves_capacity() {
         let cfg = AlphaConfig::default();
@@ -456,6 +609,7 @@ mod tests {
             out.setup.capacity(),
             out.predict.capacity(),
             out.update.capacity(),
+            out.input_cells.capacity(),
         );
         let mut scratch = CompileScratch::default();
         let prog = AlphaProgram {
@@ -471,7 +625,8 @@ mod tests {
             (
                 out.setup.capacity(),
                 out.predict.capacity(),
-                out.update.capacity()
+                out.update.capacity(),
+                out.input_cells.capacity(),
             ),
             cap
         );

@@ -38,13 +38,14 @@
 //!
 //! [`Evaluator::evaluate_batch_in`] scores a *tile* of up to `B`
 //! candidates per training sweep through a [`BatchArena`]: each day's
-//! feature block is loaded into the tile's shared `m0` plane once and
-//! every slot's function bodies run against it before the sweep advances,
-//! amortizing the panel copies across the batch (the same shape the
-//! serving layer proved with `AlphaServer`). The contract is strict
-//! bit-identity with the sequential path: per-slot register planes, RNG
-//! streams, and `rel_lane` state are fully private (see
-//! [`BatchInterpreter`] for the tile layout), so every candidate's
+//! feature cells that some slot can read (the union of the slots'
+//! [`CompiledProgram::input_cells`]) are loaded into the tile's shared
+//! `m0` plane once and every slot's function bodies run against it
+//! before the sweep advances, amortizing the panel copies across the
+//! batch (the same shape the serving layer proved with `AlphaServer`).
+//! The contract is strict bit-identity with the sequential path: per-slot
+//! register planes, RNG streams, and `rel_lane` state are fully private
+//! (see [`BatchInterpreter`] for the tile layout), so every candidate's
 //! fitness, validation returns, and RNG streams are bitwise equal to what
 //! [`Evaluator::evaluate_prepared_in`] produces for it alone.
 
@@ -206,6 +207,9 @@ pub struct BatchArena<'a> {
     compile_scratch: CompileScratch,
     rank_scratch: Vec<usize>,
     filled: usize,
+    /// Union of the filled slots' [`CompiledProgram::input_cells`]: the
+    /// `m0` cells the tile loads each day. Recomputed per tile.
+    input_cells: Vec<bool>,
     cfg: AlphaConfig,
     n_stocks: usize,
     spans: crate::telemetry::EvalSpans,
@@ -552,6 +556,7 @@ impl Evaluator {
             compile_scratch: CompileScratch::default(),
             rank_scratch: Vec::with_capacity(k),
             filled: 0,
+            input_cells: vec![false; self.cfg.dim * self.cfg.dim],
             cfg: self.cfg,
             n_stocks: k,
             spans: crate::telemetry::EvalSpans::default(),
@@ -574,15 +579,26 @@ impl Evaluator {
             slots,
             rank_scratch,
             filled,
+            input_cells,
             spans,
             ..
         } = arena;
         let filled = *filled;
         let k = self.dataset.n_stocks();
 
+        // The tile loads only the m0 cells some slot can read.
+        input_cells.fill(false);
+        for s in &slots[..filled] {
+            for (u, &c) in input_cells.iter_mut().zip(&s.compiled.input_cells) {
+                *u |= c;
+            }
+        }
+        let input_cells = &*input_cells;
+        let load_bytes = (input_cells.iter().filter(|&&c| c).count() * k * 8) as u64;
+
         // Sequential evaluation starts from a zeroed register file, so a
         // Setup() body reading m0 must see zeros, not a stale panel.
-        interp.reset_shared_input();
+        interp.reset_shared_input(input_cells);
         let t = crate::telemetry::mark();
         for (b, s) in slots[..filled].iter_mut().enumerate() {
             interp.reset_slot(b);
@@ -598,8 +614,9 @@ impl Evaluator {
             for _ in 0..self.opts.train_epochs {
                 for day in self.dataset.train_days() {
                     let t = crate::telemetry::mark();
-                    interp.load_day(day);
+                    interp.load_day(day, input_cells);
                     spans.load_day_ns.add(t.elapsed_ns());
+                    spans.load_day_bytes.add(load_bytes);
                     for (b, s) in slots[..filled].iter().enumerate() {
                         if s.skip_training {
                             continue;
@@ -632,8 +649,9 @@ impl Evaluator {
                 break;
             }
             let t = crate::telemetry::mark();
-            interp.load_day(day);
+            interp.load_day(day, input_cells);
             spans.load_day_ns.add(t.elapsed_ns());
+            spans.load_day_bytes.add(load_bytes);
             for (b, s) in slots[..filled].iter_mut().enumerate() {
                 if !s.live {
                     continue;

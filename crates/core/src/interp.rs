@@ -15,7 +15,8 @@
 //!   **once per instruction** — each local op is a tight loop over the
 //!   stock axis (auto-vectorizable), and RelationOps rank/demean the
 //!   contiguous scalar plane directly, with zero gather/scatter. The day's
-//!   input load is a handful of contiguous block copies from the shared
+//!   input load copies only the `m0` cells the program can read
+//!   ([`CompiledProgram::input_cells`]), as contiguous runs from the shared
 //!   [`DayMajorPanel`] instead of `n_stocks` strided window gathers.
 //! * [`Interpreter`] — the lockstep reference. Non-relation instructions
 //!   are re-dispatched per stock against that stock's [`MemoryBank`];
@@ -368,19 +369,13 @@ impl<'a> ColumnarInterpreter<'a> {
         }
     }
 
-    /// Loads the day's input feature panel into the `m0` planes: one
-    /// contiguous block copy per feature (the whole window × all stocks),
-    /// instead of the lockstep path's per-stock strided window gather.
-    fn load_input(&mut self, day: usize) {
+    /// Loads the day's `cells` of the input window into the `m0` planes
+    /// (see [`load_input_cells`]); `None` loads every cell.
+    fn load_input(&mut self, day: usize, cells: Option<&[bool]>) {
         let k = self.regs.n_stocks();
         let w = self.dataset.window();
         let m0 = &mut self.regs.m[..self.dataset.n_features() * w * k];
-        for f in 0..self.dataset.n_features() {
-            // m0 element (row f, col c) is feature f at day `day - w + c`,
-            // so elements f*w .. f*w+w map onto one contiguous source block.
-            m0[f * w * k..(f + 1) * w * k].copy_from_slice(self.panel.window_block(f, day, w));
-        }
-        debug_assert_eq!(INPUT, 0, "m0 load assumes the input matrix is m0");
+        load_input_cells(m0, self.panel, day, w, k, cells);
     }
 
     /// Loads the day's label cross-section into the `s0` plane: one copy.
@@ -419,11 +414,12 @@ impl<'a> ColumnarInterpreter<'a> {
         self.rank_cache.take_rank_stats()
     }
 
-    /// One training step: load inputs, predict, load labels, update.
+    /// One training step: load the inputs `prog` reads
+    /// ([`CompiledProgram::input_cells`]), predict, load labels, update.
     /// `run_update = false` skips the parameter update (the paper's `_P`
     /// ablation of Table 4).
     pub fn train_day(&mut self, prog: &CompiledProgram, day: usize, run_update: bool) {
-        self.load_input(day);
+        self.load_input(day, Some(&prog.input_cells));
         self.run_function(&prog.predict);
         if run_update {
             self.load_labels(day);
@@ -431,21 +427,21 @@ impl<'a> ColumnarInterpreter<'a> {
         }
     }
 
-    /// One inference step: load inputs, predict, and copy the prediction
-    /// plane `s1` into `out` (must have length `n_stocks`).
+    /// One inference step: load the inputs `prog` reads, predict, and copy
+    /// the prediction plane `s1` into `out` (must have length `n_stocks`).
     pub fn predict_day(&mut self, prog: &CompiledProgram, day: usize, out: &mut [f64]) {
-        self.load_input(day);
+        self.load_input(day, Some(&prog.input_cells));
         self.run_function(&prog.predict);
         out.copy_from_slice(self.regs.s_plane(PREDICTION));
     }
 
-    /// Loads one day's input feature panel into `m0` without executing
-    /// anything. The serving layer calls this once per day and then runs
-    /// *several* compiled programs' predict bodies against the loaded
-    /// panel ([`ColumnarInterpreter::run_predict`]), amortizing the
+    /// Loads one day's whole input feature panel into `m0` without
+    /// executing anything. The serving layer calls this once per day and
+    /// then runs *several* compiled programs' predict bodies against the
+    /// loaded panel ([`ColumnarInterpreter::run_predict`]), amortizing the
     /// feature-block copies across the batch.
     pub fn load_day(&mut self, day: usize) {
-        self.load_input(day);
+        self.load_input(day, None);
     }
 
     /// Runs the compiled predict body against the currently-loaded input
@@ -457,6 +453,43 @@ impl<'a> ColumnarInterpreter<'a> {
     /// Copies the prediction plane `s1` into `out` (length `n_stocks`).
     pub fn read_predictions(&self, out: &mut [f64]) {
         out.copy_from_slice(self.regs.s_plane(PREDICTION));
+    }
+}
+
+/// Copies day `day`'s input window (`w` days of every feature, `k`
+/// stocks) into the `m0` planes, restricted to the row-major `cells` mask
+/// ([`CompiledProgram::input_cells`]; `None` loads every cell). `m0`
+/// element (row f, col c) is feature f at day `day - w + c`, so a whole
+/// feature row maps onto one contiguous [`DayMajorPanel::window_block`]:
+/// a fully marked row is one `w·k` block copy, a partly marked one copies
+/// each marked cell's `k`-long run. Cells outside the mask are not read
+/// by the program; release builds leave them as they were, and debug
+/// builds write NaN into them so a read the mask missed surfaces as a NaN
+/// instead of a stale but plausible value.
+fn load_input_cells(
+    m0: &mut [f64],
+    panel: &DayMajorPanel,
+    day: usize,
+    w: usize,
+    k: usize,
+    cells: Option<&[bool]>,
+) {
+    debug_assert_eq!(INPUT, 0, "m0 load assumes the input matrix is m0");
+    for (f, dst) in m0.chunks_exact_mut(w * k).enumerate() {
+        let src = panel.window_block(f, day, w);
+        match cells.map(|c| &c[f * w..(f + 1) * w]) {
+            Some(row) if !row.iter().all(|&c| c) => {
+                for (c, &marked) in row.iter().enumerate() {
+                    let run = c * k..(c + 1) * k;
+                    if marked {
+                        dst[run.clone()].copy_from_slice(&src[run]);
+                    } else if cfg!(debug_assertions) {
+                        dst[run].fill(f64::NAN);
+                    }
+                }
+            }
+            _ => dst.copy_from_slice(src),
+        }
     }
 }
 
@@ -544,10 +577,14 @@ fn run_instrs(
 /// ```
 ///
 /// The shared `m0` plane at offset 0 is written only by
-/// [`BatchInterpreter::load_day`] — one set of contiguous feature-block
-/// copies amortized across the whole tile, which is the point of the
-/// batch. A slot whose lowered program never writes `m0`
-/// ([`crate::compile::writes_m0`]) reads the shared plane directly; a
+/// [`BatchInterpreter::reset_shared_input`] and
+/// [`BatchInterpreter::load_day`], and only in the cells some slot's
+/// program can read (the union of the slots'
+/// [`CompiledProgram::input_cells`]) — one set of feature copies amortized
+/// across the whole tile, which is the point of the batch. Cells outside
+/// the union keep whatever an earlier tile left there (NaN in debug
+/// builds); no slot reads them. A slot whose lowered program never writes
+/// `m0` ([`crate::compile::writes_m0`]) reads the shared plane directly; a
 /// clobbering slot is relocated onto its own private `m0` plane and the
 /// caller stages a copy of the shared plane into it before each of that
 /// slot's executions ([`BatchInterpreter::stage_private_m0`]). In debug
@@ -688,13 +725,23 @@ impl<'a> BatchInterpreter<'a> {
         d * d * self.regs.n_stocks()
     }
 
-    /// Zeroes the shared `m0` input plane. Sequential evaluation starts
-    /// from a fully-zeroed register file, so a `Setup()` body that *reads*
-    /// `m0` must see zeros — without this, the previous tile's last-loaded
-    /// day would leak into setup and break bit-identity.
-    pub fn reset_shared_input(&mut self) {
+    /// Zeroes the `cells` of the shared `m0` input plane (the tile's
+    /// union of [`CompiledProgram::input_cells`]). Sequential evaluation
+    /// starts from a fully-zeroed register file, so a `Setup()` body that
+    /// *reads* `m0` must see zeros — without this, the previous tile's
+    /// last-loaded day would leak into setup and break bit-identity. Cells
+    /// outside the mask are never read; debug builds set them to NaN, as
+    /// [`BatchInterpreter::load_day`] does.
+    pub fn reset_shared_input(&mut self, cells: &[bool]) {
+        let k = self.regs.n_stocks();
         let d2k = self.d2k();
-        self.regs.m[..d2k].fill(0.0);
+        for (plane, &marked) in self.regs.m[..d2k].chunks_exact_mut(k).zip(cells) {
+            if marked {
+                plane.fill(0.0);
+            } else if cfg!(debug_assertions) {
+                plane.fill(f64::NAN);
+            }
+        }
         #[cfg(debug_assertions)]
         self.m0_shadow.copy_from_slice(&self.regs.m[..d2k]);
     }
@@ -762,16 +809,14 @@ impl<'a> BatchInterpreter<'a> {
         let _ = b;
     }
 
-    /// Loads one day's input feature panel into the **shared** `m0` plane
-    /// — once per day for the whole tile.
-    pub fn load_day(&mut self, day: usize) {
+    /// Loads the `cells` of one day's input window (the tile's union of
+    /// [`CompiledProgram::input_cells`]) into the **shared** `m0` plane —
+    /// once per day for the whole tile.
+    pub fn load_day(&mut self, day: usize, cells: &[bool]) {
         let k = self.regs.n_stocks();
         let w = self.dataset.window();
         let m0 = &mut self.regs.m[..self.dataset.n_features() * w * k];
-        for f in 0..self.dataset.n_features() {
-            m0[f * w * k..(f + 1) * w * k].copy_from_slice(self.panel.window_block(f, day, w));
-        }
-        debug_assert_eq!(INPUT, 0, "m0 load assumes the input matrix is m0");
+        load_input_cells(m0, self.panel, day, w, k, Some(cells));
         #[cfg(debug_assertions)]
         {
             let d2k = self.d2k();

@@ -69,6 +69,9 @@ pub struct EvalSpans {
     pub train_ns: Count,
     /// Nanoseconds staging day feature panels (`load_day`).
     pub load_day_ns: Count,
+    /// Bytes those `load_day` calls copied into the input plane: the
+    /// tile's union of read `m0` cells × stocks × 8 per loaded day.
+    pub load_day_bytes: Count,
     /// Nanoseconds executing `Predict()` bodies.
     pub predict_ns: Count,
     /// Nanoseconds loading labels and executing `Update()` bodies.
@@ -169,6 +172,7 @@ mod real {
         compile_ns: Counter,
         train_ns: Counter,
         load_day_ns: Counter,
+        load_day_bytes: Counter,
         predict_ns: Counter,
         update_ns: Counter,
         candidates: Counter,
@@ -230,6 +234,7 @@ mod real {
             self.compile_ns.add(spans.compile_ns.get());
             self.train_ns.add(spans.train_ns.get());
             self.load_day_ns.add(spans.load_day_ns.get());
+            self.load_day_bytes.add(spans.load_day_bytes.get());
             self.predict_ns.add(spans.predict_ns.get());
             self.update_ns.add(spans.update_ns.get());
             self.candidates.add(spans.candidates.get());
@@ -272,6 +277,7 @@ mod real {
             out.push_counter("eval_compile_ns_total", &[], self.compile_ns.get());
             out.push_counter("eval_train_ns_total", &[], self.train_ns.get());
             out.push_counter("eval_load_day_ns_total", &[], self.load_day_ns.get());
+            out.push_counter("eval_load_day_bytes_total", &[], self.load_day_bytes.get());
             out.push_counter("eval_predict_ns_total", &[], self.predict_ns.get());
             out.push_counter("eval_update_ns_total", &[], self.update_ns.get());
             out.push_counter("eval_candidates_total", &[], self.candidates.get());
@@ -396,6 +402,7 @@ mod tests {
         let mut spans = EvalSpans::default();
         spans.candidates.add(7);
         spans.predict_ns.add(1234);
+        spans.load_day_bytes.add(4 * 24 * 8);
         tel.absorb_eval(&spans);
         tel.record_flush(FlushCause::Checkpoint, 2, 4, 5_000);
         tel.sample(
@@ -412,6 +419,10 @@ mod tests {
         let mut snap = alphaevolve_obs::MetricsSnapshot::new();
         tel.snapshot_into(&mut snap);
         assert_eq!(snap.counter_value("eval_candidates_total", &[]), 7);
+        assert_eq!(
+            snap.counter_value("eval_load_day_bytes_total", &[]),
+            4 * 24 * 8
+        );
         assert_eq!(
             snap.counter_value("search_flushes_total", &[("cause", "checkpoint")]),
             1

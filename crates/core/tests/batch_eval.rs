@@ -225,6 +225,34 @@ fn tile_reuse_matches_fresh_tiles() {
     }
 }
 
+/// The tile loads only the `m0` cells its candidates read, and says so:
+/// the expert seed reads four cells, so every loaded day copies exactly
+/// `4 · K · 8` bytes, and the scrape reports that total.
+#[cfg(feature = "obs")]
+#[test]
+fn load_day_bytes_count_only_the_cells_the_tile_reads() {
+    use alphaevolve_core::SearchTelemetry;
+    let ev = small_evaluator();
+    let expert = init::domain_expert(ev.config());
+    let k = ev.dataset().n_stocks() as u64;
+    let days = (ev.dataset().train_days().len() + ev.dataset().valid_days().len()) as u64;
+    let mut tile = ev.batch_arena(1);
+    tile.push(&expert, false);
+    ev.evaluate_batch_in(&mut tile);
+    assert!(tile.fitness(0).is_some());
+    let spans = tile.drain_telemetry();
+    assert_eq!(spans.load_day_bytes.get(), days * 4 * k * 8);
+
+    let telemetry = SearchTelemetry::new();
+    telemetry.absorb_eval(&spans);
+    let mut snap = alphaevolve_obs::MetricsSnapshot::new();
+    telemetry.snapshot_into(&mut snap);
+    assert_eq!(
+        snap.counter_value("eval_load_day_bytes_total", &[]),
+        days * 4 * k * 8
+    );
+}
+
 #[test]
 fn batch_arena_clamps_capacity_to_one() {
     let ev = small_evaluator();

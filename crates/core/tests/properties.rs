@@ -9,10 +9,14 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use alphaevolve_backtest::metrics::information_coefficient;
+use alphaevolve_backtest::portfolio::long_short_returns;
+use alphaevolve_backtest::CrossSections;
 use alphaevolve_core::fingerprint::{fingerprint, fingerprint_raw};
+use alphaevolve_core::memory::{INPUT, PREDICTION};
 use alphaevolve_core::{
-    canonicalize, compile, init, prune, AlphaConfig, AlphaProgram, ColumnarInterpreter,
-    EvalOptions, Evaluator, FunctionId, GroupIndex, Instruction, MutationConfig, Mutator, Op,
+    canonicalize, compile, init, liveness, prune, AlphaConfig, AlphaProgram, ColumnarInterpreter,
+    EvalOptions, Evaluator, FunctionId, GroupIndex, Instruction, Kind, MutationConfig, Mutator, Op,
 };
 use alphaevolve_market::{
     features::FeatureSet, generator::MarketConfig, Dataset, DayMajorPanel, SplitSpec,
@@ -98,6 +102,87 @@ proptest! {
             None => prop_assert!(eval.val_returns.is_empty()),
         }
     }
+}
+
+/// An extraction-heavy random program: most instructions pull a cell, a
+/// row or a column out of the input matrix `m0`, the rest are random ops
+/// over a few registers of each kind (so most extractions stay live), and
+/// about one instruction in twenty-five reads `m0` whole or writes into it.
+fn extraction_heavy_program(seed: u64, len: usize) -> AlphaProgram {
+    use rand::Rng;
+    let cfg = AlphaConfig::default();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let setup_pool: Vec<Op> = Op::ALL
+        .iter()
+        .copied()
+        .filter(|o| !o.is_relation())
+        .collect();
+    let full_pool = Op::ALL.to_vec();
+    let mut prog = AlphaProgram::new();
+    for f in FunctionId::ALL {
+        let pool = if f == FunctionId::Setup {
+            &setup_pool
+        } else {
+            &full_pool
+        };
+        for _ in 0..len {
+            let mut instr = match rng.gen_range(0..25) {
+                0..=13 => {
+                    let op = [Op::MGet, Op::MGetRow, Op::MGetCol][rng.gen_range(0..3)];
+                    let mut i = Instruction::random_with_op(&mut rng, op, &cfg);
+                    i.in1 = INPUT as u8;
+                    i
+                }
+                14 => {
+                    // Either operand slot of `m0`: first (`m_mean`,
+                    // `mat_vec`), second (`sm_scale`), or a random side of
+                    // a matrix-matrix op.
+                    let op = [Op::MMean, Op::MatMul, Op::MatVec, Op::SMScale, Op::MAdd]
+                        [rng.gen_range(0..5)];
+                    let mut i = Instruction::random_with_op(&mut rng, op, &cfg);
+                    match op.input_kinds() {
+                        [Kind::M, Kind::M] if rng.gen_bool(0.5) => i.in2 = INPUT as u8,
+                        [Kind::M, ..] => i.in1 = INPUT as u8,
+                        _ => i.in2 = INPUT as u8,
+                    }
+                    i
+                }
+                15 => {
+                    let op = [Op::MGauss, Op::MAbs, Op::MConst][rng.gen_range(0..3)];
+                    let mut i = Instruction::random_with_op(&mut rng, op, &cfg);
+                    i.out = INPUT as u8;
+                    i
+                }
+                _ => Instruction::random(&mut rng, pool, &cfg),
+            };
+            // Squeeze registers into a few per kind so most extractions
+            // stay live; `m0` is register 0, which this keeps.
+            instr.in1 %= 4;
+            instr.in2 %= 4;
+            instr.out %= 4;
+            prog.function_mut(f).push(instr);
+        }
+    }
+    // Fold a vector and a scalar register into the prediction.
+    prog.predict.push(Instruction::new(
+        Op::VSum,
+        rng.gen_range(0..4),
+        0,
+        2,
+        [0.0; 2],
+        [0; 2],
+    ));
+    prog.predict.push(Instruction::new(
+        Op::SAdd,
+        2,
+        rng.gen_range(0..4),
+        PREDICTION as u8,
+        [0.0; 2],
+        [0; 2],
+    ));
+    prog.validate(&cfg)
+        .expect("extraction-heavy programs validate");
+    prog
 }
 
 /// Shared fixture for the engine-equivalence properties (built once — the
@@ -210,6 +295,80 @@ mod lockstep_oracle {
             all_finite,
             "validity verdict diverged between engines"
         );
+    }
+    }
+
+    /// The lockstep reference for one candidate, scored exactly like
+    /// `Evaluator::evaluate_prepared_in`: setup, the training sweep unless
+    /// `skip_training`, then the validation sweep aborting at the first
+    /// non-finite day. Returns `(fitness, validation returns)`.
+    fn lockstep_score(
+        ev: &Evaluator,
+        prog: &AlphaProgram,
+        skip_training: bool,
+    ) -> (Option<f64>, Vec<f64>) {
+        let ds = ev.dataset();
+        let groups = GroupIndex::from_universe(ds.universe());
+        let mut lock = Interpreter::new(ev.config(), ds, &groups, ev.options().seed);
+        lock.run_setup(prog);
+        if !skip_training {
+            for day in ds.train_days() {
+                lock.train_day(prog, day, ev.options().run_update);
+            }
+        }
+        let days = ds.valid_days();
+        let mut preds = CrossSections::new(days.len(), ds.n_stocks());
+        for (i, day) in days.enumerate() {
+            let row = preds.row_mut(i);
+            lock.predict_day(prog, day, row);
+            if !row.iter().all(|x| x.is_finite()) {
+                return (None, Vec::new());
+            }
+        }
+        let ic = information_coefficient(&preds, ev.val_labels());
+        let returns = long_short_returns(&preds, ev.val_labels(), &ev.options().long_short);
+        (Some(ic), returns)
+    }
+
+    proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Input-cell masking is sound: extraction-heavy candidates (mostly
+    /// `m_get` / `m_get_row` / `m_get_col` on `m0`, with occasional
+    /// whole-matrix reads of `m0` and writes into it) scored through one
+    /// reused tile — so the shared `m0` plane holds cells earlier
+    /// candidates and days loaded — are bitwise equal to the lockstep
+    /// oracle, which loads every cell every day.
+    #[test]
+    fn masked_input_loads_match_lockstep_through_reused_tiles(
+        seed in any::<u64>(),
+        wide in any::<bool>(),
+        len in 2usize..7,
+    ) {
+        let ev = tiny_evaluator();
+        let batch = if wide { 4 } else { 1 };
+        let progs: Vec<AlphaProgram> = (0..2 * batch + 1)
+            .map(|i| extraction_heavy_program(seed.wrapping_add(i as u64), len))
+            .collect();
+        let mut tile = ev.batch_arena(batch);
+        for chunk in progs.chunks(batch) {
+            tile.clear();
+            for p in chunk {
+                tile.push(p, !liveness(p).stateful);
+            }
+            ev.evaluate_batch_in(&mut tile);
+            for (slot, p) in chunk.iter().enumerate() {
+                let (fitness, returns) = lockstep_score(&ev, p, !liveness(p).stateful);
+                prop_assert_eq!(
+                    tile.fitness(slot).map(f64::to_bits),
+                    fitness.map(f64::to_bits),
+                    "slot {} fitness: tile {:?} vs lockstep {:?}",
+                    slot, tile.fitness(slot), fitness
+                );
+                let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(tile.val_returns(slot)), bits(&returns));
+            }
+        }
     }
     }
 }

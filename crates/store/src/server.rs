@@ -35,8 +35,8 @@ use std::sync::Arc;
 
 use alphaevolve_backtest::CrossSections;
 use alphaevolve_core::{
-    compile, liveness, AlphaConfig, AlphaProgram, ColumnarInterpreter, CompiledProgram,
-    EvalOptions, GroupIndex, Kind, ProgramVerifier,
+    compile, liveness, writes_m0_in, AlphaConfig, AlphaProgram, ColumnarInterpreter,
+    CompiledProgram, EvalOptions, GroupIndex, Kind, ProgramVerifier,
 };
 use alphaevolve_market::features::FeatureSet;
 use alphaevolve_market::{Dataset, DayMajorPanel};
@@ -122,9 +122,7 @@ impl AlphaServer {
             let compiled = compile(&program, &cfg, k);
             let spans = predict_spans(&compiled, cfg.dim, k);
             let predict_stochastic = compiled.predict.iter().any(|i| i.op.is_stochastic());
-            let writes_input = compiled.predict.iter().any(|i| {
-                i.op != alphaevolve_core::Op::NoOp && i.op.output_kind() == Kind::M && i.o == 0
-            });
+            let writes_input = writes_m0_in(&compiled.predict);
             // Train exactly like a fresh evaluation would: reset, setup,
             // and the training sweep unless the program is stateless.
             interp.reset();

@@ -403,4 +403,50 @@ fn evaluation_hot_path_is_allocation_free_once_warm() {
         "batched evaluation allocated on the hot path ({} allocations over 10 tiles)",
         after - before
     );
+
+    // Phase 6: input-cell masks. Candidates that read different `m0`
+    // cells — four cells (expert), two cells (momentum), one column (NN),
+    // none (kernel-heavy), every cell (stochastic) — refill a warm tile
+    // in changing pairs, so the tile's union mask is recomputed from
+    // different masks each time; the sequential `evaluate_prepared_in`
+    // path loads each candidate's own mask. Neither may allocate.
+    let momentum = init::momentum(ev.config());
+    let pairs: [[&AlphaProgram; 2]; 4] = [
+        [&progs[0], &momentum],
+        [&progs[1], &progs[4]],
+        [&progs[3], &progs[0]],
+        [&momentum, &progs[1]],
+    ];
+    let mut tile = ev.batch_arena(2);
+    let mut masked = || {
+        let mut sum = 0.0;
+        for pair in &pairs {
+            for prog in pair {
+                tile.push(prog, false);
+            }
+            ev.evaluate_batch_in(&mut tile);
+            sum += tile.fitness(0).unwrap_or(0.0) + tile.fitness(1).unwrap_or(0.0);
+            tile.clear();
+            for prog in pair {
+                sum += ev
+                    .evaluate_prepared_in(&mut arena, prog, false)
+                    .unwrap_or(0.0);
+            }
+        }
+        sum
+    };
+    masked();
+    let before = allocations();
+    let mut masked_checksum = 0.0;
+    for _ in 0..3 {
+        masked_checksum += masked();
+    }
+    let after = allocations();
+    assert!(masked_checksum.is_finite());
+    assert_eq!(
+        after - before,
+        0,
+        "masked input loads allocated on the hot path ({} allocations)",
+        after - before
+    );
 }
