@@ -1,5 +1,6 @@
 //! Archive serving throughput: batched multi-program prediction (compile
-//! and train once, one panel load per request, targeted plane restores)
+//! and train once, one load of the input cells the archive reads per
+//! request, trained parameters resident, only dirty planes restored)
 //! against the naive compile-and-train-per-request loop it replaces —
 //! measured in served alpha-days/sec on the paper-scale 1026-stock panel.
 

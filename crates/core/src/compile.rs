@@ -24,6 +24,10 @@
 //!   `m0` reads all of it. The columnar engines copy only those cells of
 //!   each day's feature window, since a cell outside the mask is never
 //!   read (the paper's formulaic alphas read a handful of the 169).
+//! * **predict-plane classes** — [`classify_predict_planes`] sorts the
+//!   planes a predict body touches into read-only (trained parameters),
+//!   dirty (read before written) and written-first. The server keeps the
+//!   read-only ones resident and restores only the dirty ones per request.
 //!
 //! Compilation is allocation-free once the caller-owned
 //! [`CompiledProgram`] and [`CompileScratch`] buffers are warm, which is
@@ -32,7 +36,7 @@
 
 use crate::config::AlphaConfig;
 use crate::instruction::Instruction;
-use crate::memory::INPUT;
+use crate::memory::{INPUT, PREDICTION};
 use crate::op::{Kind, Op};
 use crate::program::AlphaProgram;
 
@@ -310,21 +314,97 @@ pub fn relocate_for_slot(
         Kind::M if off == 0 && share_m0 => 0,
         Kind::M => m_base + off,
     };
-    for instr in prog
-        .setup
-        .iter_mut()
-        .chain(prog.predict.iter_mut())
-        .chain(prog.update.iter_mut())
-    {
-        let kinds = instr.op.input_kinds();
-        if !kinds.is_empty() {
-            instr.a = reloc(kinds[0], instr.a);
-        }
-        if kinds.len() >= 2 {
-            instr.b = reloc(kinds[1], instr.b);
-        }
-        instr.o = reloc(instr.op.output_kind(), instr.o);
+    for body in [&mut prog.setup, &mut prog.predict, &mut prog.update] {
+        rewrite_operands(body, reloc);
     }
+}
+
+/// Rewrites every register operand offset of `instrs` — input 1, input 2
+/// and the output, each with its [`Kind`] — through `f`. The one operand
+/// walk behind [`relocate_for_slot`] and the serving layer's move of
+/// read-only predict planes onto private planes. In-place and
+/// allocation-free.
+pub fn rewrite_operands(instrs: &mut [CompiledInstr], mut f: impl FnMut(Kind, usize) -> usize) {
+    for instr in instrs {
+        let kinds = instr.op.input_kinds();
+        if let Some(&kind) = kinds.first() {
+            instr.a = f(kind, instr.a);
+        }
+        if let Some(&kind) = kinds.get(1) {
+            instr.b = f(kind, instr.b);
+        }
+        instr.o = f(instr.op.output_kind(), instr.o);
+    }
+}
+
+/// How a lowered predict body uses one register plane (see
+/// [`classify_predict_planes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlaneClass {
+    /// Read, never written: a trained parameter such as the NN seed's
+    /// `W1` (`m1`). Its value before a prediction is the same every day.
+    ReadOnly,
+    /// Read before its first write, or by the instruction that first
+    /// writes it (`v1 = v1 + v2`): predict carries state through it.
+    Dirty,
+    /// Written before any read: its value before predict is never seen.
+    WrittenFirst,
+}
+
+/// One register plane a lowered predict body touches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PredictPlane {
+    /// The register's kind (which columnar buffer it lives in).
+    pub kind: Kind,
+    /// Flat element offset of the register's base in that buffer.
+    pub offset: usize,
+    /// How predict uses it.
+    pub class: PlaneClass,
+}
+
+/// Classifies every register plane the lowered, unrelocated predict body
+/// touches, except the input matrix `m0`, in first-touch order.
+///
+/// The walk follows execution order: an instruction's inputs count before
+/// its output, so a plane an instruction both reads and writes is
+/// [`PlaneClass::Dirty`] unless an earlier instruction wrote it first.
+/// Every op overwrites its whole output plane, so the three classes cover
+/// every case. The prediction plane `s1` counts as read once the body
+/// ends (whoever serves the program reads it): a predict that never
+/// writes it, because the prediction comes from `Setup()` or `Update()`,
+/// leaves it [`PlaneClass::ReadOnly`].
+pub fn classify_predict_planes(predict: &[CompiledInstr], n_stocks: usize) -> Vec<PredictPlane> {
+    fn touch(planes: &mut Vec<PredictPlane>, kind: Kind, offset: usize, write: bool) {
+        if kind == Kind::M && offset == 0 {
+            return;
+        }
+        match planes
+            .iter_mut()
+            .find(|p| p.kind == kind && p.offset == offset)
+        {
+            Some(p) if write && p.class == PlaneClass::ReadOnly => p.class = PlaneClass::Dirty,
+            Some(_) => {}
+            None => planes.push(PredictPlane {
+                kind,
+                offset,
+                class: if write {
+                    PlaneClass::WrittenFirst
+                } else {
+                    PlaneClass::ReadOnly
+                },
+            }),
+        }
+    }
+    let mut planes = Vec::new();
+    for instr in predict.iter().filter(|i| i.op != Op::NoOp) {
+        let kinds = instr.op.input_kinds();
+        for (&kind, offset) in kinds.iter().zip([instr.a, instr.b]) {
+            touch(&mut planes, kind, offset, false);
+        }
+        touch(&mut planes, instr.op.output_kind(), instr.o, true);
+    }
+    touch(&mut planes, Kind::S, PREDICTION * n_stocks, false);
+    planes
 }
 
 /// Convenience wrapper allocating fresh buffers (tests / one-off use).
@@ -343,7 +423,6 @@ pub fn compile(prog: &AlphaProgram, cfg: &AlphaConfig, n_stocks: usize) -> Compi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{INPUT, PREDICTION};
 
     fn i(op: Op, in1: u8, in2: u8, out: u8) -> Instruction {
         Instruction::new(op, in1, in2, out, [0.0; 2], [0; 2])
@@ -599,6 +678,140 @@ mod tests {
             update: vec![Instruction::nop()],
         };
         assert_eq!(marked(&matmul), all_cells());
+    }
+
+    /// The `(kind, register)` planes of `prog`'s predict body in `class`,
+    /// sorted.
+    fn planes_in(prog: &AlphaProgram, class: PlaneClass) -> Vec<(Kind, usize)> {
+        let cfg = AlphaConfig::default();
+        let (k, d) = (5, cfg.dim);
+        let c = compile(prog, &cfg, k);
+        let mut out: Vec<_> = classify_predict_planes(&c.predict, k)
+            .into_iter()
+            .filter(|p| p.class == class)
+            .map(|p| {
+                let len = match p.kind {
+                    Kind::S => k,
+                    Kind::V => d * k,
+                    Kind::M => d * d * k,
+                };
+                (p.kind, p.offset / len)
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn nn_seed_predict_reads_its_trained_weights_and_dirties_nothing() {
+        let nn = crate::init::two_layer_nn(&AlphaConfig::default());
+        assert_eq!(
+            planes_in(&nn, PlaneClass::ReadOnly),
+            vec![(Kind::V, 1), (Kind::M, 1)],
+            "w2 in v1 and W1 in m1 are parameters"
+        );
+        assert_eq!(
+            planes_in(&nn, PlaneClass::WrittenFirst),
+            vec![
+                (Kind::S, PREDICTION),
+                (Kind::V, 2),
+                (Kind::V, 3),
+                (Kind::V, 4),
+                (Kind::V, 5)
+            ]
+        );
+        assert!(planes_in(&nn, PlaneClass::Dirty).is_empty());
+    }
+
+    #[test]
+    fn read_then_write_in_one_instruction_is_dirty() {
+        let prog = AlphaProgram {
+            setup: vec![Instruction::nop()],
+            predict: vec![
+                i(Op::VAdd, 1, 2, 1), // v1 = v1 + v2: a recurrence
+                i(Op::VMean, 1, 0, 3),
+                i(Op::SAbs, 3, 0, PREDICTION as u8),
+                i(Op::SAbs, 4, 0, 5), // dead, stripped
+            ],
+            update: vec![Instruction::nop()],
+        };
+        assert_eq!(planes_in(&prog, PlaneClass::Dirty), vec![(Kind::V, 1)]);
+        assert_eq!(planes_in(&prog, PlaneClass::ReadOnly), vec![(Kind::V, 2)]);
+        assert_eq!(
+            planes_in(&prog, PlaneClass::WrittenFirst),
+            vec![(Kind::S, PREDICTION), (Kind::S, 3)]
+        );
+        // A read in an earlier instruction dirties a later write too.
+        let later = AlphaProgram {
+            setup: vec![Instruction::nop()],
+            predict: vec![
+                i(Op::SAdd, 2, 3, PREDICTION as u8),
+                i(Op::SAbs, PREDICTION as u8, 0, 2),
+            ],
+            update: vec![Instruction::nop()],
+        };
+        assert_eq!(planes_in(&later, PlaneClass::Dirty), vec![(Kind::S, 2)]);
+        assert_eq!(planes_in(&later, PlaneClass::ReadOnly), vec![(Kind::S, 3)]);
+    }
+
+    #[test]
+    fn a_setup_only_prediction_is_read_only() {
+        let prog = AlphaProgram {
+            setup: vec![Instruction::new(
+                Op::SConst,
+                0,
+                0,
+                PREDICTION as u8,
+                [0.25, 0.0],
+                [0; 2],
+            )],
+            predict: vec![Instruction::new(Op::SGauss, 0, 0, 4, [0.0, 1.0], [0; 2])],
+            update: vec![Instruction::nop()],
+        };
+        assert_eq!(
+            planes_in(&prog, PlaneClass::ReadOnly),
+            vec![(Kind::S, PREDICTION)]
+        );
+        assert_eq!(
+            planes_in(&prog, PlaneClass::WrittenFirst),
+            vec![(Kind::S, 4)]
+        );
+    }
+
+    #[test]
+    fn m0_is_never_classified() {
+        let cfg = AlphaConfig::default();
+        // Reads m0, clobbers it (read and write in one instruction), and
+        // reads it again: still no class for m0.
+        let prog = AlphaProgram {
+            setup: vec![Instruction::nop()],
+            predict: vec![
+                i(Op::MAbs, INPUT as u8, 0, INPUT as u8),
+                i(Op::MatMul, 2, INPUT as u8, 3),
+                i(Op::MMean, 3, 0, PREDICTION as u8),
+            ],
+            update: vec![Instruction::nop()],
+        };
+        let c = compile(&prog, &cfg, 5);
+        let planes = classify_predict_planes(&c.predict, 5);
+        assert!(planes.iter().all(|p| !(p.kind == Kind::M && p.offset == 0)));
+        assert_eq!(planes.len(), 3, "m2, m3 and s1: {planes:?}");
+    }
+
+    #[test]
+    fn rewrite_operands_maps_inputs_and_output_by_kind() {
+        let k = 3;
+        let mut body = vec![lower_instr(&i(Op::SVScale, 2, 4, 5), 13, k)];
+        rewrite_operands(&mut body, |kind, off| match kind {
+            Kind::S => off + 1,
+            Kind::V => off + 1000,
+            Kind::M => unreachable!("no matrix operand"),
+        });
+        let d = 13;
+        assert_eq!(
+            (body[0].a, body[0].b, body[0].o),
+            (2 * k + 1, 4 * d * k + 1000, 5 * d * k + 1000)
+        );
     }
 
     #[test]

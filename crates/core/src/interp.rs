@@ -370,8 +370,8 @@ impl<'a> ColumnarInterpreter<'a> {
     }
 
     /// Loads the day's `cells` of the input window into the `m0` planes
-    /// (see [`load_input_cells`]); `None` loads every cell.
-    fn load_input(&mut self, day: usize, cells: Option<&[bool]>) {
+    /// (see [`load_input_cells`]).
+    fn load_input(&mut self, day: usize, cells: &[bool]) {
         let k = self.regs.n_stocks();
         let w = self.dataset.window();
         let m0 = &mut self.regs.m[..self.dataset.n_features() * w * k];
@@ -419,7 +419,7 @@ impl<'a> ColumnarInterpreter<'a> {
     /// `run_update = false` skips the parameter update (the paper's `_P`
     /// ablation of Table 4).
     pub fn train_day(&mut self, prog: &CompiledProgram, day: usize, run_update: bool) {
-        self.load_input(day, Some(&prog.input_cells));
+        self.load_input(day, &prog.input_cells);
         self.run_function(&prog.predict);
         if run_update {
             self.load_labels(day);
@@ -430,18 +430,21 @@ impl<'a> ColumnarInterpreter<'a> {
     /// One inference step: load the inputs `prog` reads, predict, and copy
     /// the prediction plane `s1` into `out` (must have length `n_stocks`).
     pub fn predict_day(&mut self, prog: &CompiledProgram, day: usize, out: &mut [f64]) {
-        self.load_input(day, Some(&prog.input_cells));
+        self.load_input(day, &prog.input_cells);
         self.run_function(&prog.predict);
         out.copy_from_slice(self.regs.s_plane(PREDICTION));
     }
 
-    /// Loads one day's whole input feature panel into `m0` without
-    /// executing anything. The serving layer calls this once per day and
-    /// then runs *several* compiled programs' predict bodies against the
-    /// loaded panel ([`ColumnarInterpreter::run_predict`]), amortizing the
-    /// feature-block copies across the batch.
-    pub fn load_day(&mut self, day: usize) {
-        self.load_input(day, None);
+    /// Loads the `cells` of one day's input window into `m0` without
+    /// executing anything; cells outside the mask keep their values
+    /// (debug builds write NaN into them). The serving layer calls this
+    /// once per day with the union of its programs'
+    /// [`CompiledProgram::input_cells`] and then runs *several* compiled
+    /// programs' predict bodies against the loaded window
+    /// ([`ColumnarInterpreter::run_predict`]), amortizing the feature
+    /// copies across the batch.
+    pub fn load_day(&mut self, day: usize, cells: &[bool]) {
+        self.load_input(day, cells);
     }
 
     /// Runs the compiled predict body against the currently-loaded input
@@ -449,16 +452,11 @@ impl<'a> ColumnarInterpreter<'a> {
     pub fn run_predict(&mut self, prog: &CompiledProgram) {
         self.run_function(&prog.predict);
     }
-
-    /// Copies the prediction plane `s1` into `out` (length `n_stocks`).
-    pub fn read_predictions(&self, out: &mut [f64]) {
-        out.copy_from_slice(self.regs.s_plane(PREDICTION));
-    }
 }
 
 /// Copies day `day`'s input window (`w` days of every feature, `k`
 /// stocks) into the `m0` planes, restricted to the row-major `cells` mask
-/// ([`CompiledProgram::input_cells`]; `None` loads every cell). `m0`
+/// ([`CompiledProgram::input_cells`], or a union of several). `m0`
 /// element (row f, col c) is feature f at day `day - w + c`, so a whole
 /// feature row maps onto one contiguous [`DayMajorPanel::window_block`]:
 /// a fully marked row is one `w·k` block copy, a partly marked one copies
@@ -472,23 +470,27 @@ fn load_input_cells(
     day: usize,
     w: usize,
     k: usize,
-    cells: Option<&[bool]>,
+    cells: &[bool],
 ) {
     debug_assert_eq!(INPUT, 0, "m0 load assumes the input matrix is m0");
-    for (f, dst) in m0.chunks_exact_mut(w * k).enumerate() {
+    debug_assert_eq!(cells.len() * k, m0.len(), "one mask cell per m0 plane");
+    for ((f, dst), row) in m0
+        .chunks_exact_mut(w * k)
+        .enumerate()
+        .zip(cells.chunks_exact(w))
+    {
         let src = panel.window_block(f, day, w);
-        match cells.map(|c| &c[f * w..(f + 1) * w]) {
-            Some(row) if !row.iter().all(|&c| c) => {
-                for (c, &marked) in row.iter().enumerate() {
-                    let run = c * k..(c + 1) * k;
-                    if marked {
-                        dst[run.clone()].copy_from_slice(&src[run]);
-                    } else if cfg!(debug_assertions) {
-                        dst[run].fill(f64::NAN);
-                    }
-                }
+        if row.iter().all(|&c| c) {
+            dst.copy_from_slice(src);
+            continue;
+        }
+        for (c, &marked) in row.iter().enumerate() {
+            let run = c * k..(c + 1) * k;
+            if marked {
+                dst[run.clone()].copy_from_slice(&src[run]);
+            } else if cfg!(debug_assertions) {
+                dst[run].fill(f64::NAN);
             }
-            _ => dst.copy_from_slice(src),
         }
     }
 }
@@ -816,7 +818,7 @@ impl<'a> BatchInterpreter<'a> {
         let k = self.regs.n_stocks();
         let w = self.dataset.window();
         let m0 = &mut self.regs.m[..self.dataset.n_features() * w * k];
-        load_input_cells(m0, self.panel, day, w, k, Some(cells));
+        load_input_cells(m0, self.panel, day, w, k, cells);
         #[cfg(debug_assertions)]
         {
             let d2k = self.d2k();

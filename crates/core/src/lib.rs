@@ -67,8 +67,8 @@ pub use absint::{ProgramFacts, StaticVerdict};
 pub use analysis::{analyze, AlphaAnalysis};
 pub use canon::{canonical_program, CanonOutcome};
 pub use compile::{
-    compile, compile_into, relocate_for_slot, writes_m0, writes_m0_in, CompileScratch,
-    CompiledInstr, CompiledProgram,
+    classify_predict_planes, compile, compile_into, relocate_for_slot, rewrite_operands, writes_m0,
+    writes_m0_in, CompileScratch, CompiledInstr, CompiledProgram, PlaneClass, PredictPlane,
 };
 pub use config::AlphaConfig;
 pub use eval::{

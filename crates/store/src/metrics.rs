@@ -91,13 +91,16 @@ impl RequestKind {
 }
 
 /// One serving layer's instrument set: requests by kind, errors by
-/// [`ServiceErrorCode`], and a request-latency histogram. Recording is
-/// relaxed atomic adds — share freely across connection threads.
+/// [`ServiceErrorCode`], a request-latency histogram, and the bytes the
+/// served days copied into the interpreter. Recording is relaxed atomic
+/// adds — share freely across connection threads.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
     requests: [Counter; 4],
     errors: [Counter; 5],
     latency: Histogram,
+    load_bytes: Counter,
+    restore_bytes: Counter,
 }
 
 impl ServeMetrics {
@@ -127,6 +130,16 @@ impl ServeMetrics {
         self.latency.record(ns);
     }
 
+    /// Adds what served days copied: `load` bytes of input cells into
+    /// `m0`, and `restore` bytes of predict state (dirty planes and RNG
+    /// streams). Only the service layer records these; the `wire_*` and
+    /// `client_*` sets report 0.
+    #[inline]
+    pub fn record_copies(&self, load: u64, restore: u64) {
+        self.load_bytes.add(load);
+        self.restore_bytes.add(restore);
+    }
+
     /// Counts, times, and error-classifies one request: runs `f`, records
     /// its outcome under `kind`, and passes the result through. Errors
     /// count under their [`ServiceErrorCode`] (non-service failures as
@@ -143,8 +156,9 @@ impl ServeMetrics {
     }
 
     /// Renders every instrument into `out` under
-    /// `{prefix}_requests_total{kind=…}`, `{prefix}_errors_total{code=…}`
-    /// and the `{prefix}_latency_ns` histogram. Pushing several
+    /// `{prefix}_requests_total{kind=…}`, `{prefix}_errors_total{code=…}`,
+    /// `{prefix}_load_bytes_total`, `{prefix}_restore_bytes_total` and the
+    /// `{prefix}_latency_ns` histogram. Pushing several
     /// `ServeMetrics` under one prefix into the same snapshot sums them
     /// (shard merging is just repeated pushes).
     pub fn snapshot_into(&self, prefix: &str, out: &mut MetricsSnapshot) {
@@ -156,6 +170,10 @@ impl ServeMetrics {
         for (code, c) in ERROR_CODES.iter().zip(&self.errors) {
             out.push_counter(&errors, &[("code", error_code_label(*code))], c.get());
         }
+        let load = format!("{prefix}_load_bytes_total");
+        out.push_counter(&load, &[], self.load_bytes.get());
+        let restore = format!("{prefix}_restore_bytes_total");
+        out.push_counter(&restore, &[], self.restore_bytes.get());
         out.observe_histogram(&format!("{prefix}_latency_ns"), &[], &self.latency);
     }
 }

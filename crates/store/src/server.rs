@@ -1,25 +1,42 @@
-//! Batched multi-alpha prediction: compile once, serve many.
+//! Batched multi-alpha prediction: compile once, train once, serve many.
 //!
-//! The evaluation pipeline made compiled programs cheap artifacts; the
-//! server treats them that way. At construction every archived program is
-//! **compiled once** and **trained once** (setup + the training sweep its
-//! statefulness requires), and the planes its predict body touches are
-//! snapshotted. A prediction request then sweeps one [`DayMajorPanel`]
-//! day across the whole batch of compiled programs **per panel load**:
-//! the day's feature blocks are copied into the interpreter's `m0` planes
-//! a single time, and each program's predict body runs against the shared
-//! load after a targeted restore of just *its* live planes (a few
-//! kilobytes, not the whole register file). This amortizes both the
-//! compile/train cost (across requests) and the feature-block copies
-//! (across the batch) — the ROADMAP's multi-candidate batching item,
-//! realized on the serving side.
+//! At construction every archived program is **compiled once** and
+//! **trained once** (setup + the training sweep its statefulness
+//! requires). [`classify_predict_planes`] then sorts the register planes
+//! its predict body touches, `m0` aside:
+//!
+//! * **read-only** planes, the trained parameters (the NN seed's `W1` in
+//!   `m1` and `w2` in `v1`), move onto private planes appended after the
+//!   `cfg`-sized register banks of every arena. The predict body is
+//!   relocated to read them there ([`rewrite_operands`]), and
+//!   [`AlphaServer::arena`] copies their trained values in once. No
+//!   request copies them again.
+//! * **dirty** planes, read before predict writes them (a recurrence such
+//!   as `v1 = v1 + v2`), are snapshotted after training and restored
+//!   before every prediction, together with the per-stock RNG streams of
+//!   a stochastic predict.
+//! * **written-first** planes need nothing: predict overwrites them
+//!   before it reads them. They stay in the shared banks, so an arena
+//!   grows only by the archive's read-only planes, not by a register bank
+//!   per alpha.
+//!
+//! A request for one day loads, once, only the `m0` cells some served
+//! program can read (the union of their
+//! [`CompiledProgram::input_cells`]), then runs every predict body
+//! against that load: restore its dirty planes, predict, and copy the
+//! prediction from its own `s1` plane (a private one when predict never
+//! writes it). A predict that writes `m0` makes the next program reload
+//! the cells. For the paper's seed alphas nothing is dirty, so a served
+//! day copies a few input cells and no parameters. Every request counts
+//! what it copied in `serve_load_bytes_total` and
+//! `serve_restore_bytes_total` ([`ServeMetrics`]).
 //!
 //! Requests are stateless and deterministic: every request predicts from
-//! the post-training snapshot, so the same day always yields the same
-//! bits (recurrent registers and RNG streams do not drift across
-//! requests). Per program the served bits equal what a fresh
-//! train-then-predict evaluation of that day would produce — pinned by
-//! the equivalence tests in `crates/store/tests/serving.rs`.
+//! the post-training state, so the same day always yields the same bits
+//! (recurrent registers and RNG streams do not drift across requests).
+//! Per program the served bits equal what a fresh train-then-predict
+//! evaluation of that day would produce — pinned by the equivalence tests
+//! and the random-program property in `crates/store/tests/serving.rs`.
 //!
 //! Threading: a server is shared read-only; each worker thread or
 //! connection owns one [`ServeArena`] (interpreter + nothing else),
@@ -34,9 +51,11 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use alphaevolve_backtest::CrossSections;
+use alphaevolve_core::memory::PREDICTION;
 use alphaevolve_core::{
-    compile, liveness, writes_m0_in, AlphaConfig, AlphaProgram, ColumnarInterpreter,
-    CompiledProgram, EvalOptions, GroupIndex, Kind, ProgramVerifier,
+    classify_predict_planes, compile, liveness, rewrite_operands, writes_m0_in, AlphaConfig,
+    AlphaProgram, ColumnarInterpreter, CompiledProgram, EvalOptions, GroupIndex, Kind, PlaneClass,
+    ProgramVerifier, RegisterFile,
 };
 use alphaevolve_market::features::FeatureSet;
 use alphaevolve_market::{Dataset, DayMajorPanel};
@@ -47,8 +66,6 @@ use crate::error::{Result, StoreError};
 use crate::metrics::ServeMetrics;
 
 /// One contiguous register-plane range inside a [`RegisterFile`] buffer.
-///
-/// [`RegisterFile`]: alphaevolve_core::RegisterFile
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Span {
     kind: Kind,
@@ -56,30 +73,48 @@ struct Span {
     len: usize,
 }
 
-/// A compiled, trained, snapshot-ready program.
+/// A compiled, trained program, relocated for serving.
 struct ServedProgram {
     name: String,
+    /// The lowered program. Its predict body reads its read-only planes
+    /// at their private offsets (`resident`).
     compiled: CompiledProgram,
-    /// The register planes predict touches (plus the prediction plane,
-    /// minus the input `m0`, which is reloaded per day anyway).
-    spans: Vec<Span>,
-    /// Post-training values of `spans`, concatenated in span order.
-    state: Vec<f64>,
+    /// The planes predict reads before writing them, restored before
+    /// every prediction.
+    dirty: Vec<Span>,
+    /// Post-training values of `dirty`, concatenated in span order.
+    dirty_state: Vec<f64>,
+    /// The read-only planes at their private offsets.
+    resident: Vec<Span>,
+    /// Post-training values of `resident`, copied into each arena once.
+    resident_state: Vec<f64>,
     /// Post-training per-stock RNG streams — captured only when the
     /// predict body draws from the RNG.
     rng_states: Option<Vec<[u64; 4]>>,
     /// Predict writes into `m0`: the next program needs a fresh input load.
     writes_input: bool,
+    /// Offset of the prediction plane in the scalar buffer: `s1`, or its
+    /// private plane when predict only reads it.
+    prediction: usize,
 }
 
 /// Serves a fixed set of alphas against one dataset's cross-sections.
 pub struct AlphaServer {
-    cfg: AlphaConfig,
+    /// The serving config widened by the programs' private read-only
+    /// planes: what every [`ServeArena`]'s register file is sized for.
+    arena_cfg: AlphaConfig,
     dataset: Arc<Dataset>,
     panel: Arc<DayMajorPanel>,
     groups: GroupIndex,
     seed: u64,
     programs: Vec<ServedProgram>,
+    /// Union of the programs' [`CompiledProgram::input_cells`]: the `m0`
+    /// cells a served day loads.
+    input_cells: Vec<bool>,
+    /// Bytes one full-archive served day copies into `m0`, and into dirty
+    /// planes and RNG streams (see [`copy_bytes_per_day`]).
+    day_load_bytes: u64,
+    day_restore_bytes: u64,
     /// Identity of the feature recipe the alphas were mined on — recorded
     /// by [`AlphaServer::from_archive`], 0 for bare-program servers.
     feature_set_id: u64,
@@ -101,8 +136,9 @@ pub struct ServeArena<'a> {
 impl AlphaServer {
     /// Builds a server over named programs: compiles each once, trains it
     /// (setup + the training sweep, skipped for stateless programs exactly
-    /// like the evaluator's stateless shortcut), and snapshots its live
-    /// predict planes.
+    /// like the evaluator's stateless shortcut), snapshots the planes its
+    /// predict reads, and relocates its read-only planes onto private
+    /// planes (see the module docs).
     ///
     /// `opts` supplies the training policy and RNG seed
     /// (`opts.long_short` is not used — serving produces raw predictions).
@@ -115,14 +151,14 @@ impl AlphaServer {
         cfg.validate();
         let groups = GroupIndex::from_universe(dataset.universe());
         let panel = Arc::new(DayMajorPanel::from_panel(dataset.panel()));
-        let k = dataset.n_stocks();
+        let (d, k) = (cfg.dim, dataset.n_stocks());
         let mut served = Vec::with_capacity(programs.len());
+        let mut input_cells = vec![false; d * d];
+        // Next free private plane per kind, after the cfg-sized banks.
+        let mut next_private = [cfg.n_scalars, cfg.n_vectors, cfg.n_matrices];
         let mut interp = ColumnarInterpreter::new(&cfg, &dataset, &panel, &groups, opts.seed);
         for (name, program) in programs {
-            let compiled = compile(&program, &cfg, k);
-            let spans = predict_spans(&compiled, cfg.dim, k);
-            let predict_stochastic = compiled.predict.iter().any(|i| i.op.is_stochastic());
-            let writes_input = writes_m0_in(&compiled.predict);
+            let mut compiled = compile(&program, &cfg, k);
             // Train exactly like a fresh evaluation would: reset, setup,
             // and the training sweep unless the program is stateless.
             interp.reset();
@@ -134,29 +170,70 @@ impl AlphaServer {
                     }
                 }
             }
-            let mut state = Vec::new();
-            snapshot_spans(&interp, &spans, &mut state);
-            let rng_states = predict_stochastic.then(|| {
-                let mut states = Vec::new();
-                interp.rng_states_into(&mut states);
-                states
-            });
+            let (dirty, mut resident) = predict_spans(&compiled, d, k);
+            let dirty_state = snapshot_spans(interp.registers(), &dirty);
+            let resident_state = snapshot_spans(interp.registers(), &resident);
+            let rng_states = compiled
+                .predict
+                .iter()
+                .any(|i| i.op.is_stochastic())
+                .then(|| {
+                    let mut states = Vec::new();
+                    interp.rng_states_into(&mut states);
+                    states
+                });
+            // Move the read-only planes onto this program's private planes.
+            let trained = resident.clone();
+            for span in &mut resident {
+                let next = match span.kind {
+                    Kind::S => &mut next_private[0],
+                    Kind::V => &mut next_private[1],
+                    Kind::M => &mut next_private[2],
+                };
+                span.offset = *next * span.len;
+                *next += 1;
+            }
+            let moved = |kind: Kind, offset: usize| {
+                trained
+                    .iter()
+                    .zip(&resident)
+                    .find(|(t, _)| t.kind == kind && t.offset == offset)
+                    .map_or(offset, |(_, r)| r.offset)
+            };
+            rewrite_operands(&mut compiled.predict, moved);
+            for (union, &cell) in input_cells.iter_mut().zip(&compiled.input_cells) {
+                *union |= cell;
+            }
             served.push(ServedProgram {
                 name,
+                writes_input: writes_m0_in(&compiled.predict),
+                prediction: moved(Kind::S, PREDICTION * k),
                 compiled,
-                spans,
-                state,
+                dirty,
+                dirty_state,
+                resident,
+                resident_state,
                 rng_states,
-                writes_input,
             });
         }
+        let [n_scalars, n_vectors, n_matrices] = next_private;
+        let arena_cfg = AlphaConfig {
+            n_scalars,
+            n_vectors,
+            n_matrices,
+            ..cfg
+        };
+        let (day_load_bytes, day_restore_bytes) = copy_bytes_per_day(&served, &input_cells, k);
         AlphaServer {
-            cfg,
+            arena_cfg,
             dataset,
             panel,
             groups,
             seed: opts.seed,
             programs: served,
+            input_cells,
+            day_load_bytes,
+            day_restore_bytes,
             feature_set_id: 0,
             // Enough shards that a typical connection fleet spreads out;
             // excess connections share (the instruments are atomic).
@@ -252,24 +329,34 @@ impl AlphaServer {
         }
     }
 
-    /// Builds a per-worker serving arena (the only allocating step of the
+    /// Bytes one served day of the full archive copies: `m0` cells
+    /// loaded, and dirty planes plus RNG streams restored. Sessions add
+    /// them to `serve_load_bytes_total` / `serve_restore_bytes_total`.
+    pub(crate) fn copy_bytes_per_day(&self) -> (u64, u64) {
+        (self.day_load_bytes, self.day_restore_bytes)
+    }
+
+    /// Builds a per-worker serving arena and copies every program's
+    /// trained read-only planes into it (the only allocating step of the
     /// serving path — do it once per thread, outside the request loop).
     pub fn arena(&self) -> ServeArena<'_> {
-        ServeArena {
-            interp: ColumnarInterpreter::new(
-                &self.cfg,
-                &self.dataset,
-                &self.panel,
-                &self.groups,
-                self.seed,
-            ),
+        let mut interp = ColumnarInterpreter::new(
+            &self.arena_cfg,
+            &self.dataset,
+            &self.panel,
+            &self.groups,
+            self.seed,
+        );
+        for p in &self.programs {
+            restore_spans(interp.registers_mut(), &p.resident, &p.resident_state);
         }
+        ServeArena { interp }
     }
 
     /// Serves one day for a contiguous range of programs into a flat
     /// `range.len() × n_stocks` output slice (row per program). This is
-    /// the batching primitive: one input load per arena, B predict bodies
-    /// against it. Allocation-free once the arena is warm.
+    /// the batching primitive: one load of the archive's input cells, B
+    /// predict bodies against it. Allocation-free once the arena is warm.
     ///
     /// # Panics
     /// If `range` is out of bounds, `out` is missized, or `day` precedes
@@ -287,25 +374,20 @@ impl AlphaServer {
             "program range out of bounds"
         );
         assert_eq!(out.len(), range.len() * k, "output slice missized");
-        arena.interp.load_day(day);
+        let interp = &mut arena.interp;
+        interp.load_day(day, &self.input_cells);
         let mut input_dirty = false;
-        for (row, idx) in range.enumerate() {
-            let p = &self.programs[idx];
+        for (row, p) in out.chunks_exact_mut(k).zip(&self.programs[range]) {
             if input_dirty {
-                arena.interp.load_day(day);
-                input_dirty = false;
+                interp.load_day(day, &self.input_cells);
             }
-            restore_spans(&mut arena.interp, &p.spans, &p.state);
+            restore_spans(interp.registers_mut(), &p.dirty, &p.dirty_state);
             if let Some(states) = &p.rng_states {
-                arena.interp.set_rng_states(states);
+                interp.set_rng_states(states);
             }
-            arena.interp.run_predict(&p.compiled);
-            arena
-                .interp
-                .read_predictions(&mut out[row * k..(row + 1) * k]);
-            if p.writes_input {
-                input_dirty = true;
-            }
+            interp.run_predict(&p.compiled);
+            row.copy_from_slice(&interp.registers().s_raw()[p.prediction..p.prediction + k]);
+            input_dirty = p.writes_input;
         }
     }
 
@@ -330,57 +412,56 @@ impl AlphaServer {
     }
 }
 
-/// The register planes a compiled predict body can read or write, sorted
-/// and deduplicated: its inputs, its outputs, and always the prediction
-/// plane `s1` (a program may set its prediction in `Setup()`/`Update()`
-/// alone). The input matrix `m0` is excluded — every request reloads it.
-fn predict_spans(compiled: &CompiledProgram, dim: usize, k: usize) -> Vec<Span> {
-    let len_of = |kind: Kind| match kind {
-        Kind::S => k,
-        Kind::V => dim * k,
-        Kind::M => dim * dim * k,
-    };
-    let mut spans = vec![Span {
-        kind: Kind::S,
-        offset: alphaevolve_core::memory::PREDICTION * k,
-        len: k,
-    }];
-    for instr in &compiled.predict {
-        let kinds = instr.op.input_kinds();
-        if !kinds.is_empty() {
-            spans.push(Span {
-                kind: kinds[0],
-                offset: instr.a,
-                len: len_of(kinds[0]),
-            });
-        }
-        if kinds.len() > 1 {
-            spans.push(Span {
-                kind: kinds[1],
-                offset: instr.b,
-                len: len_of(kinds[1]),
-            });
-        }
-        if instr.op != alphaevolve_core::Op::NoOp {
-            let kind = instr.op.output_kind();
-            spans.push(Span {
-                kind,
-                offset: instr.o,
-                len: len_of(kind),
-            });
+/// The planes a compiled predict body reads before writing, as
+/// `(dirty, read_only)` spans in first-touch order (see
+/// [`classify_predict_planes`]). Written-first planes need no state, and
+/// the input `m0` is reloaded every request.
+fn predict_spans(compiled: &CompiledProgram, dim: usize, k: usize) -> (Vec<Span>, Vec<Span>) {
+    let (mut dirty, mut read_only) = (Vec::new(), Vec::new());
+    for plane in classify_predict_planes(&compiled.predict, k) {
+        let span = Span {
+            kind: plane.kind,
+            offset: plane.offset,
+            len: match plane.kind {
+                Kind::S => k,
+                Kind::V => dim * k,
+                Kind::M => dim * dim * k,
+            },
+        };
+        match plane.class {
+            PlaneClass::Dirty => dirty.push(span),
+            PlaneClass::ReadOnly => read_only.push(span),
+            PlaneClass::WrittenFirst => {}
         }
     }
-    spans.sort_unstable();
-    spans.dedup();
-    spans.retain(|s| !(s.kind == Kind::M && s.offset == 0));
-    spans
+    (dirty, read_only)
 }
 
-/// Copies the span contents out of the interpreter's register file,
-/// concatenated in span order.
-fn snapshot_spans(interp: &ColumnarInterpreter<'_>, spans: &[Span], out: &mut Vec<f64>) {
-    out.clear();
-    let regs = interp.registers();
+/// Bytes one served day of the whole archive copies: the union of input
+/// cells once, plus once more after each `m0` writer that is not last;
+/// and every program's dirty planes and RNG streams.
+fn copy_bytes_per_day(programs: &[ServedProgram], input_cells: &[bool], k: usize) -> (u64, u64) {
+    let loads = 1 + programs
+        .iter()
+        .take(programs.len().saturating_sub(1))
+        .filter(|p| p.writes_input)
+        .count();
+    let cells = input_cells.iter().filter(|&&c| c).count();
+    let restored: usize = programs
+        .iter()
+        .map(|p| {
+            std::mem::size_of_val(p.dirty_state.as_slice())
+                + p.rng_states.as_deref().map_or(0, std::mem::size_of_val)
+        })
+        .sum();
+    let loaded = loads * cells * k * std::mem::size_of::<f64>();
+    (loaded as u64, restored as u64)
+}
+
+/// Copies the span contents out of a register file, concatenated in span
+/// order.
+fn snapshot_spans(regs: &RegisterFile, spans: &[Span]) -> Vec<f64> {
+    let mut out = Vec::with_capacity(spans.iter().map(|s| s.len).sum());
     for s in spans {
         let src = match s.kind {
             Kind::S => regs.s_raw(),
@@ -389,11 +470,12 @@ fn snapshot_spans(interp: &ColumnarInterpreter<'_>, spans: &[Span], out: &mut Ve
         };
         out.extend_from_slice(&src[s.offset..s.offset + s.len]);
     }
+    out
 }
 
-/// Restores a snapshot taken by [`snapshot_spans`]. Allocation-free.
-fn restore_spans(interp: &mut ColumnarInterpreter<'_>, spans: &[Span], state: &[f64]) {
-    let regs = interp.registers_mut();
+/// Writes a snapshot taken by [`snapshot_spans`] back, at the spans'
+/// offsets. Allocation-free.
+fn restore_spans(regs: &mut RegisterFile, spans: &[Span], state: &[f64]) {
     let mut pos = 0;
     for s in spans {
         let dst = match s.kind {
@@ -412,6 +494,24 @@ mod tests {
     use super::*;
     use alphaevolve_core::{init, Instruction, Op};
 
+    fn dataset() -> Arc<Dataset> {
+        use alphaevolve_market::{generator::MarketConfig, SplitSpec};
+        let md = MarketConfig {
+            n_stocks: 8,
+            n_days: 110,
+            seed: 3,
+            ..Default::default()
+        }
+        .generate();
+        Arc::new(Dataset::build(&md, &FeatureSet::paper(), SplitSpec::paper_ratios()).unwrap())
+    }
+
+    /// Scalar register numbers of `spans` (all must be scalar spans).
+    fn scalars(spans: &[Span], k: usize) -> Vec<usize> {
+        assert!(spans.iter().all(|s| s.kind == Kind::S && s.len == k));
+        spans.iter().map(|s| s.offset / k).collect()
+    }
+
     #[test]
     fn spans_cover_predict_planes_not_input() {
         let cfg = AlphaConfig::default();
@@ -419,21 +519,18 @@ mod tests {
         let prog = AlphaProgram {
             setup: vec![Instruction::nop()],
             predict: vec![
-                Instruction::new(Op::MGet, 0, 0, 2, [0.0; 2], [1, 2]),
-                Instruction::new(Op::SAdd, 2, 3, 1, [0.0; 2], [0; 2]),
+                Instruction::new(Op::MGet, 0, 0, 2, [0.0; 2], [1, 2]), // s2 = m0[1][2]
+                Instruction::new(Op::SAdd, 2, 3, 4, [0.0; 2], [0; 2]), // s4 = s2 + s3
+                Instruction::new(Op::SAdd, 4, 1, 1, [0.0; 2], [0; 2]), // s1 = s4 + s1
             ],
             update: vec![Instruction::nop()],
         };
         let compiled = compile(&prog, &cfg, k);
-        let spans = predict_spans(&compiled, cfg.dim, k);
-        // m0 excluded; s1, s2, s3 scalar planes present.
-        assert!(spans.iter().all(|s| !(s.kind == Kind::M && s.offset == 0)));
-        let scalar_offsets: Vec<usize> = spans
-            .iter()
-            .filter(|s| s.kind == Kind::S)
-            .map(|s| s.offset / k)
-            .collect();
-        assert_eq!(scalar_offsets, vec![1, 2, 3]);
+        let (dirty, read_only) = predict_spans(&compiled, cfg.dim, k);
+        // m0 is reloaded, s2 and s4 are written first: only the recurrent
+        // s1 needs a restore, and only s3 a resident copy.
+        assert_eq!(scalars(&dirty, k), vec![1]);
+        assert_eq!(scalars(&read_only, k), vec![3]);
     }
 
     #[test]
@@ -447,26 +544,61 @@ mod tests {
             update: vec![Instruction::nop()],
         };
         let compiled = compile(&prog, &cfg, k);
-        let spans = predict_spans(&compiled, cfg.dim, k);
-        assert!(spans
-            .iter()
-            .any(|s| s.kind == Kind::S && s.offset == alphaevolve_core::memory::PREDICTION * k));
+        let (dirty, read_only) = predict_spans(&compiled, cfg.dim, k);
+        assert!(dirty.is_empty());
+        assert_eq!(scalars(&read_only, k), vec![PREDICTION]);
+
+        // Served, it lives on a private plane and is read from there.
+        let ds = dataset();
+        let k = ds.n_stocks();
+        let server = AlphaServer::new(
+            cfg,
+            &EvalOptions::default(),
+            Arc::clone(&ds),
+            vec![("setup".into(), prog)],
+        );
+        let p = &server.programs[0];
+        assert_eq!(p.prediction, cfg.n_scalars * k);
+        assert_eq!(p.resident_state, vec![0.25; k]);
+        let day = ds.test_days().start;
+        assert_eq!(server.serve_day(day).row(0), &vec![0.25; k][..]);
+    }
+
+    #[test]
+    fn read_only_planes_move_to_private_planes_per_program() {
+        let cfg = AlphaConfig::default();
+        let (ds, d) = (dataset(), cfg.dim);
+        let k = ds.n_stocks();
+        let nn = init::two_layer_nn(&cfg);
+        let server = AlphaServer::new(
+            cfg,
+            &EvalOptions::default(),
+            Arc::clone(&ds),
+            vec![("a".into(), nn.clone()), ("b".into(), nn)],
+        );
+        for (i, p) in server.programs.iter().enumerate() {
+            assert!(p.dirty.is_empty(), "the NN seed restores nothing");
+            let mut planes: Vec<_> = p.resident.iter().map(|s| (s.kind, s.offset)).collect();
+            planes.sort_unstable();
+            assert_eq!(
+                planes,
+                vec![
+                    (Kind::V, (cfg.n_vectors + i) * d * k),
+                    (Kind::M, (cfg.n_matrices + i) * d * d * k),
+                ]
+            );
+            assert_eq!(p.prediction, PREDICTION * k, "s1 is written first");
+        }
+        assert_eq!(server.arena_cfg.n_scalars, cfg.n_scalars);
+        assert_eq!(server.arena_cfg.n_vectors, cfg.n_vectors + 2);
+        assert_eq!(server.arena_cfg.n_matrices, cfg.n_matrices + 2);
+        // One column of m0, loaded once; nothing restored.
+        assert_eq!(server.copy_bytes_per_day(), ((d * k * 8) as u64, 0));
     }
 
     #[test]
     fn writes_input_detection() {
         let cfg = AlphaConfig::default();
-        let ds = {
-            use alphaevolve_market::{generator::MarketConfig, SplitSpec};
-            let md = MarketConfig {
-                n_stocks: 8,
-                n_days: 110,
-                seed: 3,
-                ..Default::default()
-            }
-            .generate();
-            Arc::new(Dataset::build(&md, &FeatureSet::paper(), SplitSpec::paper_ratios()).unwrap())
-        };
         // This predict overwrites m0 (m_abs into m0), then reads it.
         let clobber = AlphaProgram {
             setup: vec![Instruction::nop()],
@@ -480,10 +612,24 @@ mod tests {
         let server = AlphaServer::new(
             cfg,
             &EvalOptions::default(),
-            ds,
-            vec![("clobber".into(), clobber), ("clean".into(), clean)],
+            dataset(),
+            vec![
+                ("clobber".into(), clobber.clone()),
+                ("clean".into(), clean.clone()),
+            ],
         );
         assert!(server.programs[0].writes_input);
         assert!(!server.programs[1].writes_input);
+        // Every cell, loaded twice: once per day, once after the clobber.
+        let (d, k) = (cfg.dim, server.n_stocks());
+        assert_eq!(server.copy_bytes_per_day().0, (2 * d * d * k * 8) as u64);
+        // A trailing writer does not reload.
+        let last = AlphaServer::new(
+            cfg,
+            &EvalOptions::default(),
+            dataset(),
+            vec![("clean".into(), clean), ("clobber".into(), clobber)],
+        );
+        assert_eq!(last.copy_bytes_per_day().0, (d * d * k * 8) as u64);
     }
 }

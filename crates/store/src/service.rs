@@ -221,6 +221,8 @@ impl AlphaService for ServerSession<'_> {
             // usize::MAX.
             check_day(day, server.min_day(), server.n_days())?;
             server.serve_day_into(arena, day, out);
+            let (load, restore) = server.copy_bytes_per_day();
+            metrics.record_copies(load, restore);
             Ok(())
         })
     }
@@ -237,9 +239,12 @@ impl AlphaService for ServerSession<'_> {
             let k = server.n_stocks();
             out.reset(days.len() * b, k);
             let flat = out.as_mut_slice();
+            let n_days = days.len() as u64;
             for (i, day) in days.enumerate() {
                 server.serve_range_into(arena, day, 0..b, &mut flat[i * b * k..(i + 1) * b * k]);
             }
+            let (load, restore) = server.copy_bytes_per_day();
+            metrics.record_copies(n_days * load, n_days * restore);
             Ok(())
         })
     }

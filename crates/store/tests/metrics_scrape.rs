@@ -12,7 +12,9 @@
 use std::sync::Arc;
 
 use alphaevolve_backtest::CrossSections;
-use alphaevolve_core::{fingerprint, init, AlphaConfig, EvalOptions};
+use alphaevolve_core::{
+    fingerprint, init, AlphaConfig, AlphaProgram, EvalOptions, Instruction, Op,
+};
 use alphaevolve_market::{features::FeatureSet, generator::MarketConfig, Dataset, SplitSpec};
 use alphaevolve_obs::{MetricValue, MetricsSnapshot};
 use alphaevolve_store::archive::{feature_set_id, AlphaArchive, ArchivedAlpha};
@@ -274,4 +276,52 @@ fn single_connection_scrape_round_trips_and_counts_client_side() {
 
     drop(client);
     handle.join().unwrap().unwrap();
+}
+
+/// `serve_load_bytes_total` / `serve_restore_bytes_total` count what the
+/// served days copied: the input cells the archive reads, once per day,
+/// and only the predict state that is read before it is written.
+#[test]
+fn served_days_count_the_bytes_they_copy() {
+    let (ds, _, _) = fixture();
+    let cfg = AlphaConfig::default();
+    let k = ds.n_stocks() as u64;
+    let day = ds.test_days().start;
+    // One day request and a two-day range: three served days.
+    let copies = |program: AlphaProgram| {
+        let server = AlphaServer::new(
+            cfg,
+            &EvalOptions::default(),
+            Arc::clone(&ds),
+            vec![("alpha".into(), program)],
+        );
+        let mut session = server.session();
+        let mut out = CrossSections::new(0, 0);
+        session.serve_day(day, &mut out).unwrap();
+        session.serve_range(day..day + 2, &mut out).unwrap();
+        let mut snap = MetricsSnapshot::new();
+        session.metrics(&mut snap).unwrap();
+        (
+            snap.counter_value("serve_load_bytes_total", &[]),
+            snap.counter_value("serve_restore_bytes_total", &[]),
+        )
+    };
+    assert_eq!(
+        copies(init::domain_expert(&cfg)),
+        (3 * 4 * k * 8, 0),
+        "the expert reads 4 input cells"
+    );
+    let (load, restore) = copies(init::two_layer_nn(&cfg));
+    assert_eq!(load, 3 * cfg.dim as u64 * k * 8, "the NN reads one column");
+    assert_eq!(restore, 0, "the NN's trained weights stay resident");
+    // A predict that reads s1 before writing it restores s1 every day.
+    let recurrent = AlphaProgram {
+        setup: vec![Instruction::new(Op::SConst, 0, 0, 1, [0.5, 0.0], [0; 2])],
+        predict: vec![
+            Instruction::new(Op::MGet, 0, 0, 2, [0.0; 2], [3, 12]),
+            Instruction::new(Op::SAdd, 1, 2, 1, [0.0; 2], [0; 2]),
+        ],
+        update: vec![Instruction::nop()],
+    };
+    assert_eq!(copies(recurrent), (3 * k * 8, 3 * k * 8));
 }

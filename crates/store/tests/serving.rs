@@ -1,20 +1,28 @@
 //! The serving contract: a warm [`AlphaServer`] request returns, per
 //! program, exactly the bits a fresh compile → train → predict evaluation
 //! of that day would produce — while doing one input load per batch
-//! instead of one per program.
+//! instead of one per program, and restoring only the planes predict
+//! reads before it writes them.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
 use alphaevolve_backtest::CrossSections;
+use alphaevolve_core::memory::{INPUT, PREDICTION};
 use alphaevolve_core::{
-    compile, init, AlphaConfig, AlphaProgram, ColumnarInterpreter, EvalOptions, GroupIndex,
-    Instruction, Op,
+    compile, init, AlphaConfig, AlphaProgram, ColumnarInterpreter, EvalOptions, FunctionId,
+    GroupIndex, Instruction, Kind, Op,
 };
 use alphaevolve_market::{
     features::FeatureSet, generator::MarketConfig, Dataset, DayMajorPanel, SplitSpec,
 };
 use alphaevolve_store::archive::{AlphaArchive, ArchivedAlpha};
 use alphaevolve_store::server::AlphaServer;
+use alphaevolve_store::service::AlphaService;
 
 fn dataset(seed: u64, n_stocks: usize) -> Arc<Dataset> {
     let md = MarketConfig {
@@ -161,4 +169,125 @@ fn from_archive_rejects_foreign_feature_sets() {
     assert!(err.is_err(), "foreign feature-set id must be refused");
     let msg = err.err().unwrap().to_string();
     assert!(msg.contains("alien"), "error names the offender: {msg}");
+}
+
+/// A random program over few registers (4 scalars, 3 vectors, 3
+/// matrices, so reads and writes collide often), shaped by `seed`'s
+/// draws into any mix of: a recurrence predict reads before it writes, a
+/// stochastic predict, a predict that writes `m0`, and a predict that
+/// never writes `s1` (the prediction then comes from setup or update).
+fn random_served_program(seed: u64) -> AlphaProgram {
+    let cfg = AlphaConfig::default();
+    let narrow = AlphaConfig {
+        n_scalars: 4,
+        n_vectors: 3,
+        n_matrices: 3,
+        ..cfg
+    };
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let setup_pool: Vec<Op> = Op::ALL
+        .iter()
+        .copied()
+        .filter(|o| !o.is_relation())
+        .collect();
+    let mut prog = AlphaProgram::new();
+    for (f, n) in [
+        (FunctionId::Setup, rng.gen_range(1..4)),
+        (FunctionId::Predict, rng.gen_range(2..7)),
+        (FunctionId::Update, rng.gen_range(1..5)),
+    ] {
+        let pool = if f == FunctionId::Setup {
+            &setup_pool[..]
+        } else {
+            Op::ALL
+        };
+        for _ in 0..n {
+            prog.function_mut(f)
+                .push(Instruction::random(&mut rng, pool, &narrow));
+        }
+    }
+    let ins = |op, in1: usize, in2: usize, out: usize, lit| {
+        Instruction::new(op, in1 as u8, in2 as u8, out as u8, lit, [0; 2])
+    };
+    if rng.gen_bool(0.5) {
+        // s3 = s3 + s2 first, s1 = s1 + s3 last: both read before written.
+        prog.predict.insert(0, ins(Op::SAdd, 3, 2, 3, [0.0; 2]));
+        prog.predict
+            .push(ins(Op::SAdd, PREDICTION, 3, PREDICTION, [0.0; 2]));
+    }
+    if rng.gen_bool(0.4) {
+        let at = rng.gen_range(0..=prog.predict.len());
+        prog.predict
+            .insert(at, ins(Op::VGauss, 0, 0, 2, [0.0, 1.0]));
+    }
+    if rng.gen_bool(0.4) {
+        let at = rng.gen_range(0..=prog.predict.len());
+        prog.predict
+            .insert(at, ins(Op::MAbs, INPUT, 0, INPUT, [0.0; 2]));
+    }
+    if rng.gen_bool(0.3) {
+        for instr in &mut prog.predict {
+            if instr.op.output_kind() == Kind::S && instr.out as usize == PREDICTION {
+                instr.out = 2;
+            }
+        }
+        prog.setup
+            .push(ins(Op::SGauss, 0, 0, PREDICTION, [0.0, 1.0]));
+    }
+    prog.validate(&cfg).expect("generated programs validate");
+    prog
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random archives served through one reused session, days shuffled
+    /// and repeated, give the bits of a fresh train-then-predict of each
+    /// program for each day: no state leaks between programs or
+    /// requests, whichever planes predict reads, writes, or leaves alone.
+    #[test]
+    fn random_archives_serve_fresh_evaluation_bits(seed in any::<u64>(), n in 1usize..5) {
+        let cfg = AlphaConfig::default();
+        let opts = EvalOptions::default();
+        let ds = dataset(seed % 5, 9);
+        let panel = DayMajorPanel::from_panel(ds.panel());
+        let groups = GroupIndex::from_universe(ds.universe());
+        let programs: Vec<(String, AlphaProgram)> = (0..n as u64)
+            .map(|i| (format!("p{i}"), random_served_program(seed.wrapping_add(i))))
+            .collect();
+        let server = AlphaServer::new(cfg, &opts, Arc::clone(&ds), programs.clone());
+        let mut session = server.session();
+
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let window = ds.valid_days().start..ds.test_days().end;
+        let days: Vec<usize> = (0..6).map(|_| rng.gen_range(window.clone())).collect();
+        let mut references = HashMap::new();
+        let mut reference = |row: usize, day: usize| -> Vec<f64> {
+            references
+                .entry((row, day))
+                .or_insert_with(|| {
+                    let prog = &programs[row].1;
+                    reference_prediction(&cfg, &ds, &panel, &groups, &opts, prog, day)
+                })
+                .clone()
+        };
+        let mut plane = CrossSections::new(0, 0);
+        for &day in &days {
+            session.serve_day(day, &mut plane).unwrap();
+            for row in 0..n {
+                let want: Vec<u64> = reference(row, day).iter().map(|x| x.to_bits()).collect();
+                let got: Vec<u64> = plane.row(row).iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(got, want, "program {} day {}", row, day);
+            }
+        }
+        let start = days[0].min(window.end - 3);
+        session.serve_range(start..start + 3, &mut plane).unwrap();
+        for (i, day) in (start..start + 3).enumerate() {
+            for row in 0..n {
+                let want: Vec<u64> = reference(row, day).iter().map(|x| x.to_bits()).collect();
+                let got: Vec<u64> = plane.row(i * n + row).iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(got, want, "range: program {} day {}", row, day);
+            }
+        }
+    }
 }

@@ -152,6 +152,31 @@ fn stochastic_candidate() -> AlphaProgram {
     }
 }
 
+/// A candidate whose predict reads `s1` before writing it: `s1` is a
+/// dirty plane the server restores before every prediction.
+fn recurrent_candidate() -> AlphaProgram {
+    AlphaProgram {
+        setup: vec![Instruction::new(Op::SConst, 0, 0, 1, [0.5, 0.0], [0; 2])],
+        predict: vec![
+            Instruction::new(Op::MGet, 0, 0, 2, [0.0; 2], [3, 12]),
+            Instruction::new(Op::SAdd, 1, 2, 1, [0.0; 2], [0; 2]),
+        ],
+        update: vec![Instruction::nop()],
+    }
+}
+
+/// A candidate whose predict overwrites the input matrix `m0`.
+fn input_clobbering_candidate() -> AlphaProgram {
+    AlphaProgram {
+        setup: vec![Instruction::nop()],
+        predict: vec![
+            Instruction::new(Op::MAbs, 0, 0, 0, [0.0; 2], [0; 2]),
+            Instruction::new(Op::MMean, 0, 0, 1, [0.0; 2], [0; 2]),
+        ],
+        update: vec![Instruction::nop()],
+    }
+}
+
 #[test]
 fn evaluation_hot_path_is_allocation_free_once_warm() {
     let market = MarketConfig {
@@ -447,6 +472,48 @@ fn evaluation_hot_path_is_allocation_free_once_warm() {
         after - before,
         0,
         "masked input loads allocated on the hot path ({} allocations)",
+        after - before
+    );
+
+    // Phase 7: a warm session over an archive that restores state. The
+    // recurrent candidate's predict reads s1 before writing it (a dirty
+    // plane, restored every request), the clobbering one writes m0 (the
+    // next program reloads the input cells), and the NN keeps its trained
+    // weights resident. Day and range requests must not allocate.
+    let server = AlphaServer::new(
+        AlphaConfig::default(),
+        &EvalOptions::default(),
+        Arc::clone(&ds),
+        vec![
+            ("recurrent".into(), recurrent_candidate()),
+            ("clobber".into(), input_clobbering_candidate()),
+            ("nn".into(), progs[1].clone()),
+            ("stochastic".into(), progs[3].clone()),
+        ],
+    );
+    let mut session = server.session();
+    let mut plane = CrossSections::new(0, 0);
+    let range = days[1]..days[1] + 3;
+    session.serve_day(days[0], &mut plane).expect("warm-up day");
+    session
+        .serve_range(range.clone(), &mut plane)
+        .expect("warm-up range");
+    let before = allocations();
+    let mut restored_checksum = 0.0;
+    for &day in &days {
+        session.serve_day(day, &mut plane).expect("day request");
+        restored_checksum += plane.row(0)[0] + plane.row(2)[1];
+        session
+            .serve_range(range.clone(), &mut plane)
+            .expect("range request");
+        restored_checksum += plane.row(5)[0];
+    }
+    let after = allocations();
+    assert!(restored_checksum.is_finite());
+    assert_eq!(
+        after - before,
+        0,
+        "serving with dirty planes and an m0 writer allocated ({} allocations)",
         after - before
     );
 }
