@@ -265,6 +265,19 @@ fn benches(c: &mut Criterion) {
         });
     });
 
+    // The NN seed through a B = 1 tile at paper scale, as the search
+    // scores it: a full training sweep whose update is bound by the fused
+    // rank-1 pass `W1 += v8 ⊗ x` over a 13 × 13 × 1026 plane.
+    c.bench_function("interp/evaluate_nn_alpha_1026", |b| {
+        let mut tile = paper_ev.batch_arena(1);
+        b.iter(|| {
+            tile.clear();
+            tile.push(std::hint::black_box(&nn), false);
+            paper_ev.evaluate_batch_in(&mut tile);
+            tile.fitness(0)
+        });
+    });
+
     // One-day lockstep vs columnar on the small (24-stock) dataset.
     let dataset = bench_dataset();
     let groups = GroupIndex::from_universe(dataset.universe());

@@ -16,7 +16,8 @@ use alphaevolve_bench::paper_scale_dataset;
 use alphaevolve_core::compile::lower_instr;
 use alphaevolve_core::op::execute_local;
 use alphaevolve_core::{
-    ColumnarInterpreter, CompiledInstr, GroupIndex, Instruction, Interpreter, MemoryBank, Op,
+    compile, AlphaProgram, ColumnarInterpreter, CompiledInstr, GroupIndex, Instruction,
+    Interpreter, MemoryBank, Op,
 };
 use alphaevolve_market::DayMajorPanel;
 
@@ -126,6 +127,48 @@ fn bench_cross_section_ops(c: &mut Criterion) {
             b.iter(|| columnar.run_function(std::hint::black_box(&lowered)));
         });
     }
+
+    // In-place element-wise ops (output plane == first input plane) and
+    // the NN seed's rank-1 training step, `m1 += v1 ⊗ v2`, which
+    // `compile` lowers to one fused pass; the unfused pair runs the same
+    // two ops as separately lowered instructions.
+    let in_place = [
+        (
+            "m_add_inplace",
+            Instruction::new(Op::MAdd, 1, 2, 1, [0.0; 2], [0; 2]),
+        ),
+        (
+            "v_add_inplace",
+            Instruction::new(Op::VAdd, 1, 2, 1, [0.0; 2], [0; 2]),
+        ),
+    ];
+    for (name, instr) in in_place {
+        let lowered = [lower_instr(&instr, cfg.dim, k)];
+        c.bench_function(&format!("op1026/{name}_columnar"), |b| {
+            b.iter(|| columnar.run_function(std::hint::black_box(&lowered)));
+        });
+    }
+    let pair = [
+        Instruction::new(Op::VOuter, 1, 2, 3, [0.0; 2], [0; 2]),
+        Instruction::new(Op::MAdd, 1, 3, 1, [0.0; 2], [0; 2]),
+    ];
+    let rank_1 = AlphaProgram {
+        setup: vec![Instruction::nop()],
+        predict: vec![Instruction::new(Op::MMean, 1, 0, 1, [0.0; 2], [0; 2])],
+        update: pair.to_vec(),
+    };
+    let fused = compile(&rank_1, &cfg, k).update;
+    assert!(
+        fused.len() == 1 && fused[0].fused.is_some(),
+        "the pair must fuse: {fused:?}"
+    );
+    c.bench_function("op1026/outer_then_add_columnar", |b| {
+        b.iter(|| columnar.run_function(std::hint::black_box(&fused)));
+    });
+    let unfused: Vec<CompiledInstr> = pair.iter().map(|i| lower_instr(i, cfg.dim, k)).collect();
+    c.bench_function("op1026/outer_then_add_unfused_columnar", |b| {
+        b.iter(|| columnar.run_function(std::hint::black_box(&unfused)));
+    });
 }
 
 fn benches(c: &mut Criterion) {

@@ -24,10 +24,23 @@
 //!   `m0` reads all of it. The columnar engines copy only those cells of
 //!   each day's feature window, since a cell outside the mask is never
 //!   read (the paper's formulaic alphas read a handful of the 169).
+//! * **rank-1 fusion** — a `VOuter t = u ⊗ v` whose only reader in the
+//!   whole program is a following `MAdd w = x + t` (or `t + x`) becomes one
+//!   lowered-only pass `w = x + u ⊗ v` ([`Fused::OuterAdd`]) at the
+//!   `MAdd`'s position, and the write of `t` is dropped. It applies when no
+//!   instruction in between touches `t` or writes `u`, `v` or `x`. Each
+//!   element keeps the two roundings, multiply then add, in the original
+//!   operand order, so the bits are the unfused bits; the pass streams one
+//!   matrix plane where the pair streamed three (the NN seed's
+//!   `W1 += v8 ⊗ x` training step).
 //! * **predict-plane classes** — [`classify_predict_planes`] sorts the
 //!   planes a predict body touches into read-only (trained parameters),
 //!   dirty (read before written) and written-first. The server keeps the
 //!   read-only ones resident and restores only the dirty ones per request.
+//!
+//! Every pass that walks a lowered instruction's registers goes through
+//! `CompiledInstr::operands`, the one operand enumeration, so a fused
+//! pass's extra operands are never missed.
 //!
 //! Compilation is allocation-free once the caller-owned
 //! [`CompiledProgram`] and [`CompileScratch`] buffers are warm, which is
@@ -62,6 +75,95 @@ pub struct CompiledInstr {
     /// (and for rank instructions beyond the cache capacity, where the
     /// runtime falls back to the uncached sort).
     pub slot: u16,
+    /// `Some` for a pass [`compile_into`] fused from two ops; `op` is then
+    /// the op whose output the pass writes. Lowered-only: no [`Op`] code
+    /// names it, so the program wire format is unchanged.
+    pub fused: Option<Fused>,
+}
+
+/// A lowered-only pass that does the work of two ops (see the module
+/// docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fused {
+    /// `o = a + u ⊗ v`, from `VOuter t = u ⊗ v` and `MAdd o = a + t`; with
+    /// `outer_first`, from `MAdd o = t + a`, computing `o = u ⊗ v + a`.
+    /// `op` is [`Op::MAdd`], `a` the matrix operand, and `b` unused.
+    OuterAdd {
+        /// Flat offset of the outer product's row vector.
+        u: usize,
+        /// Flat offset of the outer product's column vector.
+        v: usize,
+        /// The product was the `MAdd`'s first operand.
+        outer_first: bool,
+    },
+}
+
+/// One register operand of a lowered instruction (see
+/// [`CompiledInstr::operands`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Operand {
+    /// Which columnar buffer the register lives in.
+    pub(crate) kind: Kind,
+    /// Flat element offset of the register's base in that buffer.
+    pub(crate) offset: usize,
+    /// The instruction writes the register (its output) rather than
+    /// reading it.
+    pub(crate) write: bool,
+}
+
+impl CompiledInstr {
+    /// Every register operand: the inputs in argument order, then the
+    /// output. A no-op has none; a fused pass lists its extra operands.
+    /// The one operand enumeration behind [`rewrite_operands`],
+    /// [`classify_predict_planes`], [`writes_m0_in`] and the fusion pass.
+    pub(crate) fn operands(&self) -> impl Iterator<Item = Operand> {
+        let mut copy = *self;
+        copy.operand_slots()
+            .map(|slot| {
+                slot.map(|(kind, write, offset)| Operand {
+                    kind,
+                    offset: *offset,
+                    write,
+                })
+            })
+            .into_iter()
+            .flatten()
+    }
+
+    /// The operand fields themselves, as `(kind, write, field)`, in the
+    /// order [`CompiledInstr::operands`] reports them.
+    fn operand_slots(&mut self) -> [Option<(Kind, bool, &mut usize)>; 4] {
+        let CompiledInstr {
+            op, a, b, o, fused, ..
+        } = self;
+        if *op == Op::NoOp {
+            return [None, None, None, None];
+        }
+        let out = Some((op.output_kind(), true, o));
+        match fused {
+            Some(Fused::OuterAdd { u, v, .. }) => [
+                Some((Kind::M, false, a)),
+                Some((Kind::V, false, u)),
+                Some((Kind::V, false, v)),
+                out,
+            ],
+            None => {
+                let kinds = op.input_kinds();
+                [
+                    kinds.first().map(|&kind| (kind, false, a)),
+                    kinds.get(1).map(|&kind| (kind, false, b)),
+                    None,
+                    out,
+                ]
+            }
+        }
+    }
+
+    /// Whether the instruction writes the register plane `(kind, offset)`.
+    fn writes(&self, kind: Kind, offset: usize) -> bool {
+        self.operands()
+            .any(|p| p.write && p.kind == kind && p.offset == offset)
+    }
 }
 
 /// A program lowered for columnar execution. Reusable: [`compile_into`]
@@ -96,6 +198,14 @@ impl CompiledProgram {
     /// Total lowered instructions.
     pub fn n_ops(&self) -> usize {
         self.setup.len() + self.predict.len() + self.update.len()
+    }
+
+    fn bodies(&self) -> [&Vec<CompiledInstr>; 3] {
+        [&self.setup, &self.predict, &self.update]
+    }
+
+    fn bodies_mut(&mut self) -> [&mut Vec<CompiledInstr>; 3] {
+        [&mut self.setup, &mut self.predict, &mut self.update]
     }
 }
 
@@ -161,6 +271,7 @@ fn lower(instr: &Instruction, dim: usize, n_stocks: usize, next_slot: &mut u16) 
         lit: instr.lit,
         ix: instr.ix,
         slot,
+        fused: None,
     }
 }
 
@@ -263,6 +374,81 @@ pub fn compile_into(
         &mut out.update,
         &mut out.input_cells,
     );
+    fuse_outer_adds(out);
+}
+
+/// Fuses every `VOuter t = u ⊗ v` whose value only a later `MAdd` reads
+/// into that `MAdd` ([`Fused::OuterAdd`]), then compacts the bodies in
+/// place. Allocation-free.
+fn fuse_outer_adds(prog: &mut CompiledProgram) {
+    for f in 0..3 {
+        for j in 0..prog.bodies()[f].len() {
+            if let Some((p, pass)) = outer_add_at(prog, f, j) {
+                let bodies = prog.bodies_mut();
+                let body = &mut *bodies[f];
+                body[p] = pass;
+                // A lowered body holds no no-ops, so this marks the
+                // product for removal.
+                body[j].op = Op::NoOp;
+            }
+        }
+    }
+    for body in prog.bodies_mut() {
+        body.retain(|i| i.op != Op::NoOp);
+    }
+}
+
+/// If instruction `j` of body `f` is a `VOuter` that fuses into a later
+/// `MAdd`, that `MAdd`'s index and its fused replacement.
+fn outer_add_at(prog: &CompiledProgram, f: usize, j: usize) -> Option<(usize, CompiledInstr)> {
+    let bodies = prog.bodies();
+    let body = bodies[f];
+    let outer = body[j];
+    // m0 is excluded: its plane also carries the day's input load.
+    if outer.op != Op::VOuter || outer.o == 0 {
+        return None;
+    }
+    let (t, u, v) = (outer.o, outer.a, outer.b);
+    let touches_t = |i: &CompiledInstr| i.operands().any(|p| p.kind == Kind::M && p.offset == t);
+    let p = j + 1 + body[j + 1..].iter().position(touches_t)?;
+    let add = body[p];
+    if add.op != Op::MAdd || add.fused.is_some() {
+        return None;
+    }
+    let outer_first = add.a == t;
+    let x = if outer_first { add.b } else { add.a };
+    if x == t || (!outer_first && add.b != t) {
+        return None;
+    }
+    let in_between = &body[j + 1..p];
+    if in_between
+        .iter()
+        .any(|i| i.writes(Kind::V, u) || i.writes(Kind::V, v) || i.writes(Kind::M, x))
+    {
+        return None;
+    }
+    // The MAdd's read must be the only read of `t` anywhere: the plane
+    // persists across days, so a read in any body would see the dropped
+    // write.
+    let reads_of_t: usize = bodies
+        .iter()
+        .flat_map(|b| b.iter())
+        .map(|i| {
+            i.operands()
+                .filter(|p| !p.write && p.kind == Kind::M && p.offset == t)
+                .count()
+        })
+        .sum();
+    if reads_of_t != 1 {
+        return None;
+    }
+    let pass = CompiledInstr {
+        a: x,
+        b: 0,
+        fused: Some(Fused::OuterAdd { u, v, outer_first }),
+        ..add
+    };
+    Some((p, pass))
 }
 
 /// Whether the lowered program ever writes the input matrix register `m0`.
@@ -274,18 +460,14 @@ pub fn compile_into(
 /// instruction targeting `m0` survives dead-code stripping (it advances
 /// the RNG streams) and still clobbers the plane.
 pub fn writes_m0(prog: &CompiledProgram) -> bool {
-    [&prog.setup, &prog.predict, &prog.update]
-        .into_iter()
-        .any(|body| writes_m0_in(body))
+    prog.bodies().into_iter().any(|body| writes_m0_in(body))
 }
 
 /// Whether any of the lowered (unrelocated) instructions writes `m0` —
 /// the one definition behind [`writes_m0`] and the serving layer's
 /// per-body check.
 pub fn writes_m0_in(instrs: &[CompiledInstr]) -> bool {
-    instrs
-        .iter()
-        .any(|i| i.op != Op::NoOp && i.op.output_kind() == Kind::M && i.o == 0)
+    instrs.iter().any(|i| i.writes(Kind::M, 0))
 }
 
 /// Rebases a compiled program's operand offsets onto tile slot `slot` of a
@@ -314,26 +496,21 @@ pub fn relocate_for_slot(
         Kind::M if off == 0 && share_m0 => 0,
         Kind::M => m_base + off,
     };
-    for body in [&mut prog.setup, &mut prog.predict, &mut prog.update] {
+    for body in prog.bodies_mut() {
         rewrite_operands(body, reloc);
     }
 }
 
-/// Rewrites every register operand offset of `instrs` — input 1, input 2
-/// and the output, each with its [`Kind`] — through `f`. The one operand
+/// Rewrites every register operand offset of `instrs` (each operand
+/// `CompiledInstr::operands` lists, with its [`Kind`]) through `f`. The
 /// walk behind [`relocate_for_slot`] and the serving layer's move of
 /// read-only predict planes onto private planes. In-place and
 /// allocation-free.
 pub fn rewrite_operands(instrs: &mut [CompiledInstr], mut f: impl FnMut(Kind, usize) -> usize) {
     for instr in instrs {
-        let kinds = instr.op.input_kinds();
-        if let Some(&kind) = kinds.first() {
-            instr.a = f(kind, instr.a);
+        for (kind, _, offset) in instr.operand_slots().into_iter().flatten() {
+            *offset = f(kind, *offset);
         }
-        if let Some(&kind) = kinds.get(1) {
-            instr.b = f(kind, instr.b);
-        }
-        instr.o = f(instr.op.output_kind(), instr.o);
     }
 }
 
@@ -396,12 +573,8 @@ pub fn classify_predict_planes(predict: &[CompiledInstr], n_stocks: usize) -> Ve
         }
     }
     let mut planes = Vec::new();
-    for instr in predict.iter().filter(|i| i.op != Op::NoOp) {
-        let kinds = instr.op.input_kinds();
-        for (&kind, offset) in kinds.iter().zip([instr.a, instr.b]) {
-            touch(&mut planes, kind, offset, false);
-        }
-        touch(&mut planes, instr.op.output_kind(), instr.o, true);
+    for operand in predict.iter().flat_map(CompiledInstr::operands) {
+        touch(&mut planes, operand.kind, operand.offset, operand.write);
     }
     touch(&mut planes, Kind::S, PREDICTION * n_stocks, false);
     planes
@@ -811,6 +984,175 @@ mod tests {
         assert_eq!(
             (body[0].a, body[0].b, body[0].o),
             (2 * k + 1, 4 * d * k + 1000, 5 * d * k + 1000)
+        );
+    }
+
+    /// The fused passes of a lowered body.
+    fn fused(body: &[CompiledInstr]) -> Vec<&CompiledInstr> {
+        body.iter().filter(|i| i.fused.is_some()).collect()
+    }
+
+    #[test]
+    fn nn_seed_update_fuses_its_rank_1_step() {
+        let cfg = AlphaConfig::default();
+        let k = 5;
+        let (d, d2k) = (cfg.dim, cfg.dim * cfg.dim * k);
+        let c = compile(&crate::init::two_layer_nn(&cfg), &cfg, k);
+        assert_eq!(c.update.len(), 7, "VOuter + MAdd become one pass");
+        assert!(c.update.iter().all(|i| i.op != Op::VOuter));
+        let [pass] = fused(&c.update)[..] else {
+            panic!("expected one fused pass: {:?}", c.update);
+        };
+        // W1 += v8 ⊗ v2, with W1 (m1) as the MAdd's first operand.
+        assert_eq!(pass.op, Op::MAdd);
+        assert_eq!((pass.a, pass.o), (d2k, d2k));
+        assert_eq!(
+            pass.fused,
+            Some(Fused::OuterAdd {
+                u: 8 * d * k,
+                v: 2 * d * k,
+                outer_first: false,
+            })
+        );
+        let operands: Vec<_> = pass
+            .operands()
+            .map(|p| (p.kind, p.offset, p.write))
+            .collect();
+        assert_eq!(
+            operands,
+            vec![
+                (Kind::M, d2k, false),
+                (Kind::V, 8 * d * k, false),
+                (Kind::V, 2 * d * k, false),
+                (Kind::M, d2k, true),
+            ]
+        );
+        assert!(fused(&c.setup).is_empty() && fused(&c.predict).is_empty());
+    }
+
+    /// A predict body that ends in `VOuter m2 = v3 ⊗ v4` and an `MAdd`
+    /// built by `add` from the product register, then reads the sum into
+    /// the prediction, followed by `tail`.
+    fn outer_add_predict(add: Instruction, tail: &[Instruction]) -> AlphaProgram {
+        let sum = add.out;
+        let mut predict = vec![
+            Instruction::new(Op::MGetCol, INPUT as u8, 0, 3, [0.0; 2], [12, 0]),
+            i(Op::VAbs, 3, 0, 4),
+            i(Op::VOuter, 3, 4, 2),
+            add,
+            i(Op::MMean, sum, 0, PREDICTION as u8),
+        ];
+        predict.extend_from_slice(tail);
+        AlphaProgram {
+            setup: vec![Instruction::nop()],
+            predict,
+            update: vec![Instruction::nop()],
+        }
+    }
+
+    #[test]
+    fn fusion_keeps_the_operand_order_and_drops_the_product() {
+        let cfg = AlphaConfig::default();
+        for (add, outer_first) in [(i(Op::MAdd, 1, 2, 3), false), (i(Op::MAdd, 2, 1, 3), true)] {
+            let c = compile(&outer_add_predict(add, &[]), &cfg, 5);
+            assert_eq!(c.predict.len(), 4, "{:?}", c.predict);
+            let [pass] = fused(&c.predict)[..] else {
+                panic!("expected a fused pass: {:?}", c.predict);
+            };
+            assert!(
+                matches!(pass.fused, Some(Fused::OuterAdd { outer_first: f, .. }) if f == outer_first)
+            );
+        }
+    }
+
+    #[test]
+    fn fusion_needs_the_madd_to_be_the_products_only_reader() {
+        let cfg = AlphaConfig::default();
+        let add = || i(Op::MAdd, 1, 2, 3);
+        // A later live read of m2 in predict, in update, or by the MAdd
+        // twice.
+        let read_later = [
+            i(Op::MMean, 2, 0, 5),
+            i(Op::SAdd, 5, PREDICTION as u8, PREDICTION as u8),
+        ];
+        let mut in_update = outer_add_predict(add(), &[]);
+        in_update.update = vec![i(Op::MMean, 2, 0, 5)];
+        in_update.predict.push(i(Op::SAdd, PREDICTION as u8, 5, 9));
+        in_update.predict.push(i(Op::SAdd, 9, 5, PREDICTION as u8));
+        for prog in [
+            outer_add_predict(add(), &read_later),
+            in_update,
+            outer_add_predict(i(Op::MAdd, 2, 2, 3), &[]),
+        ] {
+            let c = compile(&prog, &cfg, 5);
+            let all: Vec<_> = [&c.setup, &c.predict, &c.update]
+                .into_iter()
+                .flat_map(|b| fused(b))
+                .collect();
+            assert!(all.is_empty(), "{prog:?} must not fuse: {all:?}");
+            assert!(c.predict.iter().any(|i| i.op == Op::VOuter));
+        }
+        // A live write of an outer operand between the pair blocks it too.
+        let mut between = outer_add_predict(add(), &[]);
+        between.predict.insert(3, i(Op::VAbs, 3, 0, 3));
+        between.predict.push(i(Op::VSum, 3, 0, 9));
+        between
+            .predict
+            .push(i(Op::SAdd, 9, PREDICTION as u8, PREDICTION as u8));
+        let c = compile(&between, &cfg, 5);
+        assert!(fused(&c.predict).is_empty(), "{:?}", c.predict);
+    }
+
+    #[test]
+    fn operand_walks_see_the_fused_operands() {
+        let cfg = AlphaConfig::default();
+        let (k, d) = (5, cfg.dim);
+        let d2k = d * d * k;
+        // m1 = m0 + v3 ⊗ v4 in predict, then the prediction reads m1.
+        let c = compile(&outer_add_predict(i(Op::MAdd, 0, 2, 1), &[]), &cfg, k);
+        assert_eq!(fused(&c.predict).len(), 1);
+        assert_eq!(
+            planes_in(
+                &outer_add_predict(i(Op::MAdd, 0, 2, 1), &[]),
+                PlaneClass::WrittenFirst
+            ),
+            vec![
+                (Kind::S, PREDICTION),
+                (Kind::V, 3),
+                (Kind::V, 4),
+                (Kind::M, 1)
+            ],
+            "the product m2 is gone; the fused pass writes m1"
+        );
+        assert!(!writes_m0_in(&c.predict));
+        // Written into m0 instead, the fused pass clobbers the input.
+        let c = compile(&outer_add_predict(i(Op::MAdd, 1, 2, 0), &[]), &cfg, k);
+        assert_eq!(fused(&c.predict).len(), 1);
+        assert!(writes_m0_in(&c.predict));
+        assert_eq!(
+            planes_in(
+                &outer_add_predict(i(Op::MAdd, 1, 2, 0), &[]),
+                PlaneClass::ReadOnly
+            ),
+            vec![(Kind::M, 1)],
+            "the fused pass reads m1"
+        );
+        // Relocation moves every fused operand.
+        let mut moved = c.predict;
+        rewrite_operands(&mut moved, |kind, off| match kind {
+            Kind::S => off,
+            Kind::V => off + 1,
+            Kind::M => off + 2 * d2k,
+        });
+        let pass = fused(&moved)[0];
+        assert_eq!((pass.a, pass.o), (3 * d2k, 2 * d2k));
+        assert_eq!(
+            pass.fused,
+            Some(Fused::OuterAdd {
+                u: 3 * d * k + 1,
+                v: 4 * d * k + 1,
+                outer_first: false,
+            })
         );
     }
 

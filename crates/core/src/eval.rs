@@ -186,6 +186,9 @@ struct BatchSlot {
     preds: CrossSections,
     returns: Vec<f64>,
     fitness: Option<f64>,
+    /// Validation days the last tile predicted for this slot (all of
+    /// them, or up to its first non-finite day).
+    val_days: usize,
     skip_training: bool,
     /// Whether the slot reads the tile's shared `m0` plane directly
     /// (its program never writes `m0`) or owns a staged private copy.
@@ -409,10 +412,10 @@ impl Evaluator {
         }
     }
 
-    /// Predict-only sweep over `days` into the flat `preds` panel; returns
-    /// whether every prediction stayed finite. When `abort_on_invalid`,
-    /// the first bad day is marked invalid in the panel (nothing is copied
-    /// or truncated) and the sweep stops there.
+    /// Predict-only sweep over `days` into the flat `preds` panel. When
+    /// `abort_on_invalid`, the first day with a non-finite prediction is
+    /// marked invalid in the panel (nothing is copied or truncated), the
+    /// sweep stops there, and its index is returned.
     fn sweep(
         &self,
         interp: &mut ColumnarInterpreter<'_>,
@@ -420,7 +423,7 @@ impl Evaluator {
         days: std::ops::Range<usize>,
         abort_on_invalid: bool,
         preds: &mut CrossSections,
-    ) -> bool {
+    ) -> Option<usize> {
         let k = self.dataset.n_stocks();
         preds.reset(days.len(), k);
         for (i, day) in days.enumerate() {
@@ -428,10 +431,32 @@ impl Evaluator {
             interp.predict_day(prog, day, row);
             if abort_on_invalid && !row.iter().all(|x| x.is_finite()) {
                 preds.invalidate_day(i);
-                return false;
+                return Some(i);
             }
         }
-        true
+        None
+    }
+
+    /// Counts `prog`'s op executions into `spans`: setup once, predict on
+    /// `predict_days`, and update on every training day that ran it.
+    fn count_ops(
+        &self,
+        spans: &mut crate::telemetry::EvalSpans,
+        prog: &CompiledProgram,
+        trained: bool,
+        predict_days: usize,
+    ) {
+        let train_days = if trained {
+            (self.opts.train_epochs * self.dataset.train_days().len()) as u64
+        } else {
+            0
+        };
+        let ops = &mut spans.op_executions;
+        ops.add_body(&prog.setup, 1);
+        ops.add_body(&prog.predict, train_days + predict_days as u64);
+        if self.opts.run_update {
+            ops.add_body(&prog.update, train_days);
+        }
     }
 
     /// Scores a candidate (expected to be the *pruned* program, which is
@@ -510,9 +535,11 @@ impl Evaluator {
         self.train(interp, prog, skip_training);
         spans.train_ns.add(t.elapsed_ns());
         let t = crate::telemetry::mark();
-        let ok = self.sweep(interp, prog, self.dataset.valid_days(), true, preds);
+        let bad_day = self.sweep(interp, prog, self.dataset.valid_days(), true, preds);
         spans.predict_ns.add(t.elapsed_ns());
-        if !ok {
+        let swept = bad_day.map_or(self.dataset.valid_days().len(), |i| i + 1);
+        self.count_ops(spans, prog, !skip_training, swept);
+        if bad_day.is_some() {
             returns.clear();
             return None;
         }
@@ -548,6 +575,7 @@ impl Evaluator {
                     preds: CrossSections::new(n_days, k),
                     returns: Vec::with_capacity(n_days),
                     fitness: None,
+                    val_days: 0,
                     skip_training: false,
                     share_m0: true,
                     live: false,
@@ -643,6 +671,7 @@ impl Evaluator {
         let n_days = days.len();
         for s in &mut slots[..filled] {
             s.preds.reset(n_days, k);
+            s.val_days = n_days;
         }
         for (i, day) in days.enumerate() {
             if slots[..filled].iter().all(|s| !s.live) {
@@ -666,12 +695,14 @@ impl Evaluator {
                 spans.predict_ns.add(t.elapsed_ns());
                 if !row.iter().all(|x| x.is_finite()) {
                     s.preds.invalidate_day(i);
+                    s.val_days = i + 1;
                     s.live = false;
                 }
             }
         }
 
         for s in &mut slots[..filled] {
+            self.count_ops(spans, &s.compiled, !s.skip_training, s.val_days);
             if s.live {
                 let ic = information_coefficient(&s.preds, &self.val_labels);
                 long_short_returns_into(

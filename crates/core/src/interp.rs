@@ -47,7 +47,7 @@ use rand::SeedableRng;
 use alphaevolve_market::rngutil::normal;
 use alphaevolve_market::{Dataset, DayMajorPanel};
 
-use crate::compile::{CompiledInstr, CompiledProgram};
+use crate::compile::{CompiledInstr, CompiledProgram, Fused};
 use crate::config::AlphaConfig;
 #[cfg(any(test, feature = "reference-oracle"))]
 use crate::instruction::Instruction;
@@ -898,24 +898,149 @@ impl<'a> BatchInterpreter<'a> {
     }
 }
 
+/// An element-wise kernel input, resolved against the output plane (see
+/// [`split_out`]).
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    /// The output plane itself: the op runs in place on this operand.
+    Out,
+    /// A plane disjoint from the output.
+    Plane(&'a [f64]),
+}
+
+/// Splits the `n`-long output plane at `o` off `buf` and resolves each
+/// input offset in `inputs` against it. Registers of one kind are whole
+/// planes at multiples of their size, so an input plane either *is* the
+/// output plane or is disjoint from it; with the two split apart, the
+/// kernels' loops zip distinct slices and vectorize, where one buffer
+/// indexed for inputs and output would take LLVM's scalar path whenever
+/// its runtime alias check sees `o == a`.
+///
+/// # Panics
+/// If an input plane partly overlaps the output plane.
+fn split_out<const N: usize>(
+    buf: &mut [f64],
+    n: usize,
+    o: usize,
+    inputs: [usize; N],
+) -> (&mut [f64], [Src<'_>; N]) {
+    let (lo, rest) = buf.split_at_mut(o);
+    let (out, hi) = rest.split_at_mut(n);
+    let (lo, hi) = (&*lo, &*hi);
+    let srcs = inputs.map(|a| {
+        if a == o {
+            Src::Out
+        } else if a + n <= o {
+            Src::Plane(&lo[a..a + n])
+        } else {
+            assert!(a >= o + n, "register planes of one kind overlap");
+            Src::Plane(&hi[a - o - n..a - o])
+        }
+    });
+    (out, srcs)
+}
+
 /// Element-wise binary kernel within one register buffer: `n` is the whole
 /// register size in elements (`n_stocks` for scalars, `dim · n_stocks` for
-/// vectors, …). Alias-safe: `out[i]` depends only on index `i` of the
-/// inputs, so overlapping registers behave like the lockstep scratch copy.
+/// vectors, …). `out[i] = f(a[i], b[i])` for every `i`, with the operands
+/// in that order whichever of `a` and `b` is the output plane: the same
+/// values the lockstep engine computes through its scratch copy.
 #[inline]
 fn ew2(buf: &mut [f64], n: usize, a: usize, b: usize, o: usize, f: impl Fn(f64, f64) -> f64) {
-    assert!(a + n <= buf.len() && b + n <= buf.len() && o + n <= buf.len());
-    for i in 0..n {
-        buf[o + i] = f(buf[a + i], buf[b + i]);
+    let (out, [a, b]) = split_out(buf, n, o, [a, b]);
+    match (a, b) {
+        (Src::Out, Src::Out) => out.iter_mut().for_each(|x| *x = f(*x, *x)),
+        (Src::Out, Src::Plane(b)) => {
+            for (x, &y) in out.iter_mut().zip(b) {
+                *x = f(*x, y);
+            }
+        }
+        (Src::Plane(a), Src::Out) => {
+            for (y, &x) in out.iter_mut().zip(a) {
+                *y = f(x, *y);
+            }
+        }
+        (Src::Plane(a), Src::Plane(b)) => {
+            for ((z, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *z = f(x, y);
+            }
+        }
     }
 }
 
 /// Element-wise unary kernel within one register buffer (see [`ew2`]).
 #[inline]
 fn ew1(buf: &mut [f64], n: usize, a: usize, o: usize, f: impl Fn(f64) -> f64) {
-    assert!(a + n <= buf.len() && o + n <= buf.len());
-    for i in 0..n {
-        buf[o + i] = f(buf[a + i]);
+    match split_out(buf, n, o, [a]) {
+        (out, [Src::Out]) => out.iter_mut().for_each(|x| *x = f(*x)),
+        (out, [Src::Plane(a)]) => {
+            for (y, &x) in out.iter_mut().zip(a) {
+                *y = f(x);
+            }
+        }
+    }
+}
+
+/// Scales every `k`-long element plane of the `n`-long register at `b` by
+/// the scalar plane `sa`, into the register at `o` of the same buffer:
+/// `out[e·k + i] = sa[i] * b[e·k + i]` (`SVScale`, `SMScale`), with the
+/// operands in the lockstep kernel's order.
+#[inline]
+#[allow(clippy::assign_op_pattern)]
+fn scale_planes(buf: &mut [f64], n: usize, b: usize, o: usize, sa: &[f64]) {
+    let k = sa.len();
+    match split_out(buf, n, o, [b]) {
+        (out, [Src::Out]) => {
+            for plane in out.chunks_exact_mut(k) {
+                for (y, &s) in plane.iter_mut().zip(sa) {
+                    *y = s * *y;
+                }
+            }
+        }
+        (out, [Src::Plane(b)]) => {
+            for (plane, src) in out.chunks_exact_mut(k).zip(b.chunks_exact(k)) {
+                for ((y, &s), &x) in plane.iter_mut().zip(sa).zip(src) {
+                    *y = s * x;
+                }
+            }
+        }
+    }
+}
+
+/// The fused `w = x + u ⊗ v` pass ([`crate::compile::Fused::OuterAdd`])
+/// over a `d²·k` output plane: `out[(r·d + c)·k + i] = add(x, u[r][i] *
+/// v[c][i])`, where `x` is the matching element of the matrix operand and
+/// `vs` the vector buffer holding `u` and `v`. `add` applies the `MAdd`'s
+/// operand order, so each element gets the unfused pair's two roundings.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn outer_add_planes(
+    out: &mut [f64],
+    x: Src<'_>,
+    vs: &[f64],
+    u: usize,
+    v: usize,
+    d: usize,
+    k: usize,
+    add: impl Fn(f64, f64) -> f64,
+) {
+    for (e, plane) in out.chunks_exact_mut(k).enumerate() {
+        let (r, c) = (e / d, e % d);
+        let ur = &vs[u + r * k..u + (r + 1) * k];
+        let vc = &vs[v + c * k..v + (c + 1) * k];
+        match x {
+            Src::Out => {
+                for ((y, &p), &q) in plane.iter_mut().zip(ur).zip(vc) {
+                    *y = add(*y, p * q);
+                }
+            }
+            Src::Plane(x) => {
+                let x = &x[e * k..(e + 1) * k];
+                for (((y, &w), &p), &q) in plane.iter_mut().zip(x).zip(ur).zip(vc) {
+                    *y = add(w, p * q);
+                }
+            }
+        }
     }
 }
 
@@ -923,7 +1048,9 @@ fn ew1(buf: &mut [f64], n: usize, a: usize, o: usize, f: impl Fn(f64) -> f64) {
 /// register planes: a single dispatch, then tight loops over the stock
 /// axis. Every kernel performs, per stock, exactly the same f64 operations
 /// in the same order as [`execute_local`] on that stock's bank — that
-/// invariant is what keeps the two engines bitwise interchangeable.
+/// invariant is what keeps the two engines bitwise interchangeable. A
+/// fused pass performs its two ops' operations, in their order, without
+/// the intermediate store.
 ///
 /// `scratch_v`/`scratch_m` must be at least `dim·K` / `dim²·K` long;
 /// `lane` at least `K`.
@@ -949,6 +1076,21 @@ fn execute_columnar(
     let ix1 = instr.ix[1] as usize;
     let RegisterFile { s, v, m, .. } = regs;
     let (s, v, m) = (&mut s[..], &mut v[..], &mut m[..]);
+
+    if let Some(Fused::OuterAdd {
+        u: row,
+        v: col,
+        outer_first,
+    }) = instr.fused
+    {
+        let (out, [x]) = split_out(m, d2k, o, [a]);
+        if outer_first {
+            outer_add_planes(out, x, v, row, col, d, k, |x, t| t + x);
+        } else {
+            outer_add_planes(out, x, v, row, col, d, k, |x, t| x + t);
+        }
+        return;
+    }
 
     match instr.op {
         Op::NoOp => {}
@@ -1023,14 +1165,7 @@ fn execute_columnar(
         Op::VMax => ew2(v, dk, a, b, o, f64::max),
         Op::VAbs => ew1(v, dk, a, o, f64::abs),
         Op::VHeaviside => ew1(v, dk, a, o, |x| if x > 0.0 { 1.0 } else { 0.0 }),
-        Op::SVScale => {
-            for e in 0..d {
-                let (vo, vb) = (o + e * k, b + e * k);
-                for i in 0..k {
-                    v[vo + i] = s[a + i] * v[vb + i];
-                }
-            }
-        }
+        Op::SVScale => scale_planes(v, dk, b, o, &s[a..a + k]),
         Op::VBroadcast => {
             for e in 0..d {
                 v[o + e * k..o + (e + 1) * k].copy_from_slice(&s[a..a + k]);
@@ -1085,13 +1220,12 @@ fn execute_columnar(
         }
         Op::VGet => s[o..o + k].copy_from_slice(&v[a + ix0 * k..a + (ix0 + 1) * k]),
         Op::VOuter => {
-            for r in 0..d {
-                for c in 0..d {
-                    let mo = o + (r * d + c) * k;
-                    let (va, vb) = (a + r * k, b + c * k);
-                    for i in 0..k {
-                        m[mo + i] = v[va + i] * v[vb + i];
-                    }
+            for (e, plane) in m[o..o + d2k].chunks_exact_mut(k).enumerate() {
+                let (r, c) = (e / d, e % d);
+                let va = &v[a + r * k..a + (r + 1) * k];
+                let vb = &v[b + c * k..b + (c + 1) * k];
+                for ((y, &p), &q) in plane.iter_mut().zip(va).zip(vb) {
+                    *y = p * q;
                 }
             }
         }
@@ -1148,14 +1282,7 @@ fn execute_columnar(
         // Register-blocked micro-kernel; accumulates in kk order per
         // (row, col, stock) — the lockstep kernel's exact summation order.
         Op::MatMul => crate::kernels::mat_mul_planes(m, scratch_m, a, b, o, d, k),
-        Op::SMScale => {
-            for e in 0..d * d {
-                let (mo, mb) = (o + e * k, b + e * k);
-                for i in 0..k {
-                    m[mo + i] = s[a + i] * m[mb + i];
-                }
-            }
-        }
+        Op::SMScale => scale_planes(m, d2k, b, o, &s[a..a + k]),
         Op::MBroadcast => {
             for r in 0..d {
                 for c in 0..d {
@@ -1619,6 +1746,142 @@ mod tests {
         interp.run_setup(&compiled);
         interp.predict_day(&compiled, day, &mut b);
         assert_eq!(a, b, "reset + rerun must reproduce the stochastic stream");
+    }
+
+    /// Four planes of `n` values mixing NaN, ±inf, ±0 and finite values.
+    fn special_planes(n: usize) -> Vec<f64> {
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.5,
+            -2.25,
+            f64::MIN_POSITIVE,
+            1e308,
+        ];
+        (0..4 * n)
+            .map(|i| specials[(i * 7 + i / 5) % specials.len()])
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `(a, b, o)` plane offsets covering every aliasing case of a binary
+    /// kernel over planes of `n`: in place on either or both operands,
+    /// both operands one plane, and all disjoint (output below and above
+    /// the inputs).
+    fn alias_cases(n: usize) -> [(usize, usize, usize); 6] {
+        [
+            (n, 2 * n, n),
+            (n, 2 * n, 2 * n),
+            (n, n, n),
+            (n, 2 * n, 3 * n),
+            (2 * n, 3 * n, 0),
+            (n, n, 3 * n),
+        ]
+    }
+
+    #[test]
+    fn ew2_matches_the_naive_loop_bitwise_in_every_alias_case() {
+        let n = 11;
+        let ops: [fn(f64, f64) -> f64; 5] =
+            [|x, y| x + y, |x, y| x - y, |x, y| x / y, f64::min, f64::max];
+        for (a, b, o) in alias_cases(n) {
+            for f in ops {
+                let mut naive = special_planes(n);
+                for i in 0..n {
+                    naive[o + i] = f(naive[a + i], naive[b + i]);
+                }
+                let mut split = special_planes(n);
+                ew2(&mut split, n, a, b, o, f);
+                assert_eq!(bits(&split), bits(&naive), "a={a} b={b} o={o}");
+            }
+        }
+    }
+
+    #[test]
+    fn ew1_matches_the_naive_loop_bitwise_in_place_and_disjoint() {
+        let n = 11;
+        for (a, o) in [(n, n), (n, 2 * n), (2 * n, 0)] {
+            for f in [f64::abs, |x: f64| 1.0 / x] {
+                let mut naive = special_planes(n);
+                for i in 0..n {
+                    naive[o + i] = f(naive[a + i]);
+                }
+                let mut split = special_planes(n);
+                ew1(&mut split, n, a, o, f);
+                assert_eq!(bits(&split), bits(&naive), "a={a} o={o}");
+            }
+        }
+    }
+
+    #[test]
+    fn plane_scaling_matches_the_naive_loop_bitwise() {
+        let (d, k) = (3, 4);
+        let n = d * k;
+        let sa: Vec<f64> = special_planes(k)[..k].to_vec();
+        for (b, o) in [(n, n), (n, 2 * n), (2 * n, 0)] {
+            let mut naive = special_planes(n);
+            for e in 0..d {
+                for i in 0..k {
+                    naive[o + e * k + i] = sa[i] * naive[b + e * k + i];
+                }
+            }
+            let mut split = special_planes(n);
+            scale_planes(&mut split, n, b, o, &sa);
+            assert_eq!(bits(&split), bits(&naive), "b={b} o={o}");
+        }
+    }
+
+    #[test]
+    fn fused_outer_add_matches_outer_then_add_bitwise() {
+        let (d, k) = (3, 4);
+        let (dk, d2k) = (d * k, d * d * k);
+        // Vector buffer: u at 0, v at dk (and u ⊗ u with v = u).
+        let vs: Vec<f64> = special_planes(dk)[dk..3 * dk].to_vec();
+        for (u, v) in [(0, dk), (dk, 0), (0, 0)] {
+            for (x, o) in [(d2k, d2k), (d2k, 2 * d2k), (2 * d2k, 0)] {
+                for outer_first in [false, true] {
+                    let add: fn(f64, f64) -> f64 = if outer_first {
+                        |x, t| t + x
+                    } else {
+                        |x, t| x + t
+                    };
+                    let mut naive = special_planes(d2k);
+                    let mut t = vec![0.0; d2k];
+                    for r in 0..d {
+                        for c in 0..d {
+                            for i in 0..k {
+                                t[(r * d + c) * k + i] = vs[u + r * k + i] * vs[v + c * k + i];
+                            }
+                        }
+                    }
+                    for (e, &t) in t.iter().enumerate() {
+                        let x = naive[x + e];
+                        naive[o + e] = add(x, t);
+                    }
+                    let mut fused = special_planes(d2k);
+                    let (out, [src]) = split_out(&mut fused, d2k, o, [x]);
+                    outer_add_planes(out, src, &vs, u, v, d, k, add);
+                    assert_eq!(
+                        bits(&fused),
+                        bits(&naive),
+                        "u={u} v={v} x={x} o={o} outer_first={outer_first}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap")]
+    fn partly_overlapping_planes_are_refused() {
+        let mut buf = vec![0.0; 40];
+        ew2(&mut buf, 10, 5, 20, 0, |x, y| x + y);
     }
 
     #[test]

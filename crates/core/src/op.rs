@@ -323,11 +323,25 @@ impl Op {
     }
 }
 
+/// Sums from `+0.0`, as the columnar kernels do (they accumulate into a
+/// zero-filled plane). The standard float `Sum` starts from `-0.0`, so a
+/// sum whose every term is `-0.0` would come out `-0.0` here but `0.0`
+/// there.
+#[cfg(any(test, feature = "reference-oracle"))]
+trait SumFromZero: Iterator<Item = f64> + Sized {
+    fn sum_from_zero(self) -> f64 {
+        self.fold(0.0, |s, x| s + x)
+    }
+}
+
+#[cfg(any(test, feature = "reference-oracle"))]
+impl<I: Iterator<Item = f64>> SumFromZero for I {}
+
 #[cfg(any(test, feature = "reference-oracle"))]
 fn population_std(xs: &[f64]) -> f64 {
     let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    (xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n).sqrt()
+    let mean = xs.iter().copied().sum_from_zero() / n;
+    (xs.iter().map(|x| (x - mean) * (x - mean)).sum_from_zero() / n).sqrt()
 }
 
 /// Uniform draw with reordered/degenerate bounds handled; shared by the
@@ -455,10 +469,10 @@ pub fn execute_local(
             let c = mem.s[a];
             mem.vec_mut(o).fill(c);
         }
-        Op::VNorm => mem.s[o] = mem.vec(a).iter().map(|x| x * x).sum::<f64>().sqrt(),
-        Op::VMean => mem.s[o] = mem.vec(a).iter().sum::<f64>() / dim as f64,
+        Op::VNorm => mem.s[o] = mem.vec(a).iter().map(|x| x * x).sum_from_zero().sqrt(),
+        Op::VMean => mem.s[o] = mem.vec(a).iter().copied().sum_from_zero() / dim as f64,
         Op::VStd => mem.s[o] = population_std(mem.vec(a)),
-        Op::VSum => mem.s[o] = mem.vec(a).iter().sum::<f64>(),
+        Op::VSum => mem.s[o] = mem.vec(a).iter().copied().sum_from_zero(),
         Op::TsRank => {
             // Rank of the newest element (last slot) within the vector,
             // normalized to [0, 1]; ties count half.
@@ -480,7 +494,7 @@ pub fn execute_local(
                 .iter()
                 .zip(mem.vec(b))
                 .map(|(x, y)| x * y)
-                .sum::<f64>();
+                .sum_from_zero();
         }
         Op::VGet => mem.s[o] = mem.vec(a)[ix0],
         Op::VOuter => {
@@ -502,7 +516,7 @@ pub fn execute_local(
                 let ma = mem.mat(a);
                 let vb = mem.vec(b);
                 for r in 0..dim {
-                    s[r] = (0..dim).map(|c| ma[r * dim + c] * vb[c]).sum();
+                    s[r] = (0..dim).map(|c| ma[r * dim + c] * vb[c]).sum_from_zero();
                 }
             }
             mem.vec_mut(o).copy_from_slice(s);
@@ -603,8 +617,8 @@ pub fn execute_local(
             }
             mem.mat_mut(o).copy_from_slice(s);
         }
-        Op::MNorm => mem.s[o] = mem.mat(a).iter().map(|x| x * x).sum::<f64>().sqrt(),
-        Op::MMean => mem.s[o] = mem.mat(a).iter().sum::<f64>() / n2 as f64,
+        Op::MNorm => mem.s[o] = mem.mat(a).iter().map(|x| x * x).sum_from_zero().sqrt(),
+        Op::MMean => mem.s[o] = mem.mat(a).iter().copied().sum_from_zero() / n2 as f64,
         Op::MStd => mem.s[o] = population_std(mem.mat(a)),
         Op::MNormAxis | Op::MMeanAxis | Op::MStdAxis => {
             let s = &mut scratch_v[..dim];
@@ -622,15 +636,16 @@ pub fn execute_local(
                         }
                     };
                     s[i] = match instr.op {
-                        Op::MNormAxis => {
-                            (0..dim).map(|k| gather(k) * gather(k)).sum::<f64>().sqrt()
-                        }
-                        Op::MMeanAxis => (0..dim).map(gather).sum::<f64>() / dim as f64,
+                        Op::MNormAxis => (0..dim)
+                            .map(|k| gather(k) * gather(k))
+                            .sum_from_zero()
+                            .sqrt(),
+                        Op::MMeanAxis => (0..dim).map(gather).sum_from_zero() / dim as f64,
                         _ => {
-                            let mean = (0..dim).map(gather).sum::<f64>() / dim as f64;
+                            let mean = (0..dim).map(gather).sum_from_zero() / dim as f64;
                             ((0..dim)
                                 .map(|k| (gather(k) - mean) * (gather(k) - mean))
-                                .sum::<f64>()
+                                .sum_from_zero()
                                 / dim as f64)
                                 .sqrt()
                         }

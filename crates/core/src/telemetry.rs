@@ -23,7 +23,45 @@
 //! pinned bit-identical with `obs` on and off by `tests/determinism.rs`
 //! (CI runs both configurations).
 
+use crate::compile::CompiledInstr;
 use crate::evolution::SearchStats;
+use crate::op::Op;
+
+/// Number of op-mix slots: one per [`Op`] code, plus one per fused pass.
+const OP_LABELS: usize = Op::ALL.len() + 1;
+
+/// Op-mix slot of a lowered instruction: its [`Op`] code, or the fused
+/// pass's own slot after them.
+fn op_slot(instr: &CompiledInstr) -> usize {
+    match instr.fused {
+        Some(_) => Op::ALL.len(),
+        None => instr.op as usize,
+    }
+}
+
+/// Instruction executions per op (each one a dispatch over the whole
+/// cross-section): one slot per [`Op`] code, in [`Op::ALL`] order, then
+/// the fused rank-1 pass. Counted from each compiled body's static op
+/// counts times the days it ran, so the per-instruction loop carries
+/// nothing extra. Scraped as `eval_op_executions_total{op=…}`.
+#[derive(Debug, Clone, Copy)]
+pub struct OpMix([Count; OP_LABELS]);
+
+impl Default for OpMix {
+    fn default() -> Self {
+        OpMix([Count::default(); OP_LABELS])
+    }
+}
+
+impl OpMix {
+    /// Counts every instruction of `body` as executed `runs` times.
+    #[inline]
+    pub(crate) fn add_body(&mut self, body: &[CompiledInstr], runs: u64) {
+        for instr in body {
+            self.0[op_slot(instr)].add(runs);
+        }
+    }
+}
 
 /// Why a worker's evaluation tile was flushed (see
 /// `crate::evolution`'s batched admission pipeline).
@@ -83,6 +121,8 @@ pub struct EvalSpans {
     pub rank_reused: Count,
     /// Rank-cache segments that fell back to a full argsort.
     pub rank_resorted: Count,
+    /// Instruction executions per op.
+    pub op_executions: OpMix,
 }
 
 impl EvalSpans {
@@ -100,7 +140,8 @@ impl EvalSpans {
 
 #[cfg(feature = "obs")]
 mod real {
-    use super::{EvalSpans, FlushCause, SearchStats};
+    use super::{EvalSpans, FlushCause, SearchStats, OP_LABELS};
+    use crate::op::Op;
     use alphaevolve_obs::{Counter, Gauge, Histogram, MetricsSnapshot};
     use std::time::Instant;
 
@@ -178,6 +219,22 @@ mod real {
         candidates: Counter,
         rank_reused: Counter,
         rank_resorted: Counter,
+        op_executions: OpCounters,
+    }
+
+    /// The `op` label of op-mix slot `i`.
+    fn op_label(i: usize) -> &'static str {
+        Op::ALL.get(i).map_or("outer_add_fused", |op| op.name())
+    }
+
+    /// Atomic per-op execution totals (see [`super::OpMix`]).
+    #[derive(Debug)]
+    struct OpCounters([Counter; OP_LABELS]);
+
+    impl Default for OpCounters {
+        fn default() -> Self {
+            OpCounters([const { Counter::new() }; OP_LABELS])
+        }
     }
 
     impl SearchTelemetry {
@@ -240,6 +297,9 @@ mod real {
             self.candidates.add(spans.candidates.get());
             self.rank_reused.add(spans.rank_reused.get());
             self.rank_resorted.add(spans.rank_resorted.get());
+            for (total, n) in self.op_executions.0.iter().zip(spans.op_executions.0) {
+                total.add(n.get());
+            }
         }
 
         /// Renders every instrument into `out` under the `search_*` /
@@ -283,6 +343,12 @@ mod real {
             out.push_counter("eval_candidates_total", &[], self.candidates.get());
             out.push_counter("eval_rank_reused_total", &[], self.rank_reused.get());
             out.push_counter("eval_rank_resorted_total", &[], self.rank_resorted.get());
+            // Only ops that ran: a series appears on its first execution.
+            for (i, n) in self.op_executions.0.iter().enumerate() {
+                if n.get() > 0 {
+                    out.push_counter("eval_op_executions_total", &[("op", op_label(i))], n.get());
+                }
+            }
         }
     }
 }

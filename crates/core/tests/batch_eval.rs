@@ -253,6 +253,47 @@ fn load_day_bytes_count_only_the_cells_the_tile_reads() {
     );
 }
 
+/// The op-mix counter counts each lowered instruction once per day its
+/// body ran: one NN seed evaluation runs the fused `W1 += v8 ⊗ x` pass on
+/// every training day, and no separate `v_outer` or `m_add`. Both
+/// evaluation paths count the same.
+#[cfg(feature = "obs")]
+#[test]
+fn op_executions_count_the_fused_rank_1_pass() {
+    use alphaevolve_core::SearchTelemetry;
+    let ev = small_evaluator();
+    let nn = init::two_layer_nn(ev.config());
+    let train = ev.dataset().train_days().len() as u64;
+    let valid = ev.dataset().valid_days().len() as u64;
+
+    let mut tile = ev.batch_arena(1);
+    tile.push(&nn, false);
+    ev.evaluate_batch_in(&mut tile);
+    assert!(tile.fitness(0).is_some());
+    let mut arena = ev.arena();
+    assert!(ev.evaluate_prepared_in(&mut arena, &nn, false).is_some());
+    for spans in [tile.drain_telemetry(), arena.drain_telemetry()] {
+        let telemetry = SearchTelemetry::new();
+        telemetry.absorb_eval(&spans);
+        let mut snap = alphaevolve_obs::MetricsSnapshot::new();
+        telemetry.snapshot_into(&mut snap);
+        let ops = |op| snap.counter_value("eval_op_executions_total", &[("op", op)]);
+        assert_eq!(ops("outer_add_fused"), train);
+        assert_eq!(ops("m_add"), 0);
+        assert_eq!(ops("v_outer"), 0);
+        assert_eq!(ops("v_add"), train);
+        assert_eq!(
+            ops("mat_vec"),
+            train + valid,
+            "predict trains and validates"
+        );
+        assert_eq!(ops("m_gauss"), 1, "setup runs once");
+        assert!(snap
+            .render()
+            .contains("eval_op_executions_total{op=\"outer_add_fused\"}"));
+    }
+}
+
 #[test]
 fn batch_arena_clamps_capacity_to_one() {
     let ev = small_evaluator();

@@ -185,6 +185,99 @@ fn extraction_heavy_program(seed: u64, len: usize) -> AlphaProgram {
     prog
 }
 
+/// Where a planted `VOuter → MAdd` pair's product `m2` is read, or what
+/// else stands between the pair (see [`planted_outer_add_program`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Plant {
+    /// Only the `MAdd` reads the product: the pair fuses.
+    Clean,
+    /// Update reads the product after the `MAdd`.
+    ReadInUpdate,
+    /// Predict reads the product.
+    ReadInPredict,
+    /// An instruction between the pair overwrites an outer operand that
+    /// is read later.
+    WriteBetween,
+}
+
+/// The NN seed's training shape with its rank-1 step planted as
+/// `VOuter m2 = v8 ⊗ v2; MAdd w = x + m2` (or `m2 + x` when
+/// `outer_first`), in update or at the end of predict, where `x` is `m0`
+/// or `m1` and `w` is `x` (`in_place`) or `m3`; predict's weights are
+/// `w`. `noise` random instructions from `seed` go in front of predict.
+/// Returns the program and whether the pair must fuse (`None` when the
+/// noise or a dead `MAdd` into the reloaded `m0` leaves that open).
+fn planted_outer_add_program(
+    seed: u64,
+    noise: usize,
+    plant: Plant,
+    outer_first: bool,
+    in_place: bool,
+    x_is_m0: bool,
+    in_predict: bool,
+) -> (AlphaProgram, Option<bool>) {
+    let cfg = AlphaConfig::default();
+    let ins = |op, in1: usize, in2: usize, out: usize| {
+        Instruction::new(op, in1 as u8, in2 as u8, out as u8, [0.0; 2], [0; 2])
+    };
+    let x = if x_is_m0 { INPUT } else { 1 };
+    let w = if in_place { x } else { 3 };
+    let newest = (cfg.dim - 1) as u8;
+    let mut predict = random_program(seed, 1, noise, 1).predict;
+    predict.truncate(noise);
+    predict.extend([
+        Instruction::new(Op::MGetCol, INPUT as u8, 0, 2, [0.0; 2], [newest, 0]),
+        ins(Op::MatVec, w, 2, 3),
+        ins(Op::VHeaviside, 3, 0, 4),
+        ins(Op::VMul, 4, 3, 5),
+        ins(Op::VDot, 1, 5, PREDICTION),
+    ]);
+    let mut update = vec![
+        ins(Op::SSub, 0, 1, 3),
+        ins(Op::SMul, 3, 2, 4),
+        ins(Op::SVScale, 4, 5, 6),
+        ins(Op::SVScale, 4, 1, 7),
+        ins(Op::VAdd, 1, 6, 1),
+        ins(Op::VMul, 7, 4, 8),
+    ];
+    let mut pair = vec![ins(Op::VOuter, 8, 2, 2)];
+    if plant == Plant::WriteBetween {
+        pair.push(ins(Op::VAbs, 2, 0, 2));
+    }
+    pair.push(if outer_first {
+        ins(Op::MAdd, 2, x, w)
+    } else {
+        ins(Op::MAdd, x, 2, w)
+    });
+    if in_predict {
+        predict.extend(pair);
+    } else {
+        update.extend(pair);
+    }
+    // The extra reads land in s9, which predict folds into the prediction.
+    match plant {
+        Plant::Clean => {}
+        Plant::ReadInUpdate => update.push(ins(Op::MMean, 2, 0, 9)),
+        Plant::ReadInPredict => predict.push(ins(Op::MMean, 2, 0, 9)),
+        Plant::WriteBetween => update.push(ins(Op::VSum, 2, 0, 9)),
+    }
+    if plant != Plant::Clean {
+        predict.push(ins(Op::SAdd, PREDICTION, 9, PREDICTION));
+    }
+    let prog = AlphaProgram {
+        setup: vec![
+            Instruction::new(Op::MGauss, 0, 0, 1, [0.0, 0.1], [0; 2]),
+            Instruction::new(Op::VGauss, 0, 0, 1, [0.0, 0.1], [0; 2]),
+            Instruction::new(Op::SConst, 0, 0, 2, [0.01, 0.0], [0; 2]),
+        ],
+        predict,
+        update,
+    };
+    prog.validate(&cfg).expect("planted programs validate");
+    let decided = noise == 0 && !(x_is_m0 && in_place);
+    (prog, decided.then_some(plant == Plant::Clean))
+}
+
 /// Shared fixture for the engine-equivalence properties (built once — the
 /// properties only vary the program, not the market).
 fn equivalence_fixture() -> &'static (Dataset, GroupIndex, DayMajorPanel) {
@@ -328,6 +421,83 @@ mod lockstep_oracle {
         let ic = information_coefficient(&preds, ev.val_labels());
         let returns = long_short_returns(&preds, ev.val_labels(), &ev.options().long_short);
         (Some(ic), returns)
+    }
+
+    proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Rank-1 fusion is invisible: programs with a planted `VOuter →
+    /// MAdd` pair (product read only by the `MAdd`, or also later in
+    /// update or predict, or an outer operand overwritten in between;
+    /// either operand order; in place or not; `m0` as the matrix operand)
+    /// fuse exactly when they may, and the columnar engine and a batched
+    /// tile (the program in slot 0 or 1) both match the lockstep oracle,
+    /// which runs the unfused ops, bit for bit.
+    #[test]
+    fn planted_outer_add_pairs_match_lockstep(
+        seed in any::<u64>(),
+        noise in 0usize..4,
+        plant in 0usize..4,
+        outer_first in any::<bool>(),
+        in_place in any::<bool>(),
+        x_is_m0 in any::<bool>(),
+        in_predict in any::<bool>(),
+        second_slot in any::<bool>(),
+    ) {
+        let plant = [Plant::Clean, Plant::ReadInUpdate, Plant::ReadInPredict, Plant::WriteBetween][plant];
+        let (prog, expect_fused) = planted_outer_add_program(
+            seed, noise, plant, outer_first, in_place, x_is_m0, in_predict,
+        );
+        let cfg = AlphaConfig::default();
+        let (ds, groups, panel) = equivalence_fixture();
+        let compiled = compile(&prog, &cfg, ds.n_stocks());
+        let n_fused = [&compiled.setup, &compiled.predict, &compiled.update]
+            .into_iter()
+            .flatten()
+            .filter(|i| i.fused.is_some())
+            .count();
+        if let Some(fuses) = expect_fused {
+            prop_assert_eq!(n_fused, usize::from(fuses), "{:?}", compiled);
+        }
+
+        let mut lock = Interpreter::new(&cfg, ds, groups, seed);
+        let mut col = ColumnarInterpreter::new(&cfg, ds, panel, groups, seed);
+        lock.run_setup(&prog);
+        col.run_setup(&compiled);
+        let k = ds.n_stocks();
+        let (mut a, mut b) = (vec![0.0; k], vec![0.0; k]);
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for day in ds.train_days().take(6) {
+            lock.train_day(&prog, day, true);
+            col.train_day(&compiled, day, true);
+        }
+        for day in ds.valid_days().take(4) {
+            lock.predict_day(&prog, day, &mut a);
+            col.predict_day(&compiled, day, &mut b);
+            prop_assert_eq!(
+                bits(&a),
+                bits(&b),
+                "day {}: {:?} vs {:?} ({:?}, fused {}): {:?}",
+                day, a, b, plant, n_fused, prog
+            );
+        }
+
+        let ev = tiny_evaluator();
+        let mut tile = ev.batch_arena(2);
+        if second_slot {
+            tile.push(&init::two_layer_nn(&cfg), false);
+        }
+        let slot = tile.push(&prog, false);
+        ev.evaluate_batch_in(&mut tile);
+        let (fitness, returns) = lockstep_score(&ev, &prog, false);
+        prop_assert_eq!(
+            tile.fitness(slot).map(f64::to_bits),
+            fitness.map(f64::to_bits),
+            "tile {:?} vs lockstep {:?}",
+            tile.fitness(slot), fitness
+        );
+        prop_assert_eq!(bits(tile.val_returns(slot)), bits(&returns));
+    }
     }
 
     proptest! {

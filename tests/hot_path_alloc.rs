@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 use alphaevolve::backtest::CrossSections;
 use alphaevolve::core::{
-    fingerprint, init, AlphaConfig, AlphaProgram, EvalOptions, Evaluator, FlushCause, Instruction,
-    Op, SearchTelemetry,
+    compile, fingerprint, init, AlphaConfig, AlphaProgram, EvalOptions, Evaluator, FlushCause,
+    Instruction, Op, SearchTelemetry,
 };
 use alphaevolve::market::{features::FeatureSet, generator::MarketConfig, Dataset, SplitSpec};
 use alphaevolve::store::{
@@ -165,6 +165,22 @@ fn recurrent_candidate() -> AlphaProgram {
     }
 }
 
+/// A candidate whose update lowers to a fused rank-1 pass that is not the
+/// NN seed's shape: the product is the `MAdd`'s first operand and the sum
+/// lands in a fresh register, `m3 = v5 ⊗ v2 + m1`.
+fn fusible_candidate() -> AlphaProgram {
+    let mut prog = init::two_layer_nn(&AlphaConfig::default());
+    prog.update.truncate(prog.update.len() - 2);
+    prog.update.extend([
+        Instruction::new(Op::VOuter, 8, 2, 2, [0.0; 2], [0; 2]),
+        Instruction::new(Op::MAdd, 2, 1, 3, [0.0; 2], [0; 2]),
+        Instruction::new(Op::MMean, 3, 0, 9, [0.0; 2], [0; 2]),
+    ]);
+    prog.predict
+        .push(Instruction::new(Op::SAdd, 1, 9, 1, [0.0; 2], [0; 2]));
+    prog
+}
+
 /// A candidate whose predict overwrites the input matrix `m0`.
 fn input_clobbering_candidate() -> AlphaProgram {
     AlphaProgram {
@@ -198,14 +214,25 @@ fn evaluation_hot_path_is_allocation_free_once_warm() {
     // (full training sweep), a relational alpha (rank/demean planes), an
     // explicitly stochastic alpha (per-stock RNG streams), and a
     // kernel-heavy alpha (transcendental planes, blocked mat_mul, cached
-    // ranks).
+    // ranks). The NN seed and the fusible candidate each compile to a
+    // fused rank-1 pass, so the warm compile includes the fusion pass's
+    // in-place compaction.
     let progs = [
         init::domain_expert(ev.config()),
         init::two_layer_nn(ev.config()),
         init::industry_reversal(ev.config()),
         stochastic_candidate(),
         transcendental_candidate(),
+        fusible_candidate(),
     ];
+    for (i, prog) in progs.iter().enumerate() {
+        let lowered = compile(prog, ev.config(), ds.n_stocks());
+        assert_eq!(
+            lowered.update.iter().any(|i| i.fused.is_some()),
+            matches!(i, 1 | 5),
+            "fusion fixture {i}"
+        );
+    }
     let bad = invalid_candidate();
 
     let mut arena = ev.arena();
@@ -228,7 +255,7 @@ fn evaluation_hot_path_is_allocation_free_once_warm() {
     assert_eq!(
         after - before,
         0,
-        "evaluate_in allocated on the hot path ({} allocations over 25 candidates)",
+        "evaluate_in allocated on the hot path ({} allocations over 30 candidates)",
         after - before
     );
     // Phase 2: killed candidates (aborted sweep) must not allocate either.
