@@ -9,13 +9,13 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use alphaevolve_bench::{
-    bench_dataset, bench_evaluator, paper_scale_dataset, paper_scale_evaluator,
+    bench_dataset, bench_evaluator, paper_scale_dataset, paper_scale_evaluator, SoloTile,
 };
 use alphaevolve_core::kernels::{self, RankCache};
 use alphaevolve_core::relation::rank_within;
 use alphaevolve_core::{
-    compile, compile_into, init, liveness, AlphaProgram, ColumnarInterpreter, CompileScratch,
-    CompiledProgram, GroupIndex, Interpreter,
+    compile_into, init, liveness, AlphaProgram, CompileScratch, CompiledProgram, GroupIndex,
+    Interpreter,
 };
 use alphaevolve_market::DayMajorPanel;
 
@@ -179,7 +179,7 @@ fn benches(c: &mut Criterion) {
     // Batched tile vs sequential: eight candidates through one
     // program-major × stock-major tile (each day's feature block staged
     // once into the shared plane for all eight register files) versus
-    // eight one-at-a-time evaluations over the same warm arena. Both
+    // eight one-at-a-time evaluations through one warm B = 1 tile. Both
     // paths run the full training sweep (skip_training = false).
     let eight: Vec<AlphaProgram> = (0..8)
         .map(|i| match i % 3 {
@@ -189,13 +189,14 @@ fn benches(c: &mut Criterion) {
         })
         .collect();
     c.bench_function("interp/evaluate_8_candidates_sequential", |b| {
-        let mut arena = evaluator.arena();
+        let mut solo = evaluator.batch_arena(1);
         b.iter(|| {
             let mut acc = 0.0;
             for p in &eight {
-                acc += evaluator
-                    .evaluate_prepared_in(&mut arena, std::hint::black_box(p), false)
-                    .unwrap_or(0.0);
+                solo.clear();
+                solo.push(std::hint::black_box(p), false);
+                evaluator.evaluate_batch_in(&mut solo);
+                acc += solo.fitness(0).unwrap_or(0.0);
             }
             acc
         });
@@ -225,13 +226,14 @@ fn benches(c: &mut Criterion) {
         init::domain_expert(&cfg),
     ];
     c.bench_function("interp/evaluate_4_candidates_sequential_1026", |b| {
-        let mut arena = paper_ev.arena();
+        let mut solo = paper_ev.batch_arena(1);
         b.iter(|| {
             let mut acc = 0.0;
             for p in &four {
-                acc += paper_ev
-                    .evaluate_prepared_in(&mut arena, std::hint::black_box(p), false)
-                    .unwrap_or(0.0);
+                solo.clear();
+                solo.push(std::hint::black_box(p), false);
+                paper_ev.evaluate_batch_in(&mut solo);
+                acc += solo.fitness(0).unwrap_or(0.0);
             }
             acc
         });
@@ -290,11 +292,9 @@ fn benches(c: &mut Criterion) {
         b.iter(|| interp.predict_day(std::hint::black_box(&nn), day, &mut out));
     });
     c.bench_function("interp/predict_one_day_columnar", |b| {
-        let compiled = compile(&nn, &cfg, dataset.n_stocks());
-        let mut interp = ColumnarInterpreter::new(&cfg, &dataset, &panel, &groups, 0);
-        interp.run_setup(&compiled);
+        let mut tile = SoloTile::new(&cfg, &dataset, &panel, &groups, 0, &nn);
         let mut out = vec![0.0; dataset.n_stocks()];
-        b.iter(|| interp.predict_day(std::hint::black_box(&compiled), day, &mut out));
+        b.iter(|| tile.predict_day(std::hint::black_box(day), &mut out));
     });
 
     // Paper-scale (1026 stocks): the per-(instruction × stock) dispatch and
@@ -316,12 +316,9 @@ fn benches(c: &mut Criterion) {
         c.bench_function(
             &format!("interp/predict_one_day_columnar_1026_{name}"),
             |b| {
-                let compiled = compile(prog, &cfg, paper.n_stocks());
-                let mut interp =
-                    ColumnarInterpreter::new(&cfg, &paper, &paper_panel, &paper_groups, 0);
-                interp.run_setup(&compiled);
+                let mut tile = SoloTile::new(&cfg, &paper, &paper_panel, &paper_groups, 0, prog);
                 let mut out = vec![0.0; paper.n_stocks()];
-                b.iter(|| interp.predict_day(std::hint::black_box(&compiled), paper_day, &mut out));
+                b.iter(|| tile.predict_day(std::hint::black_box(paper_day), &mut out));
             },
         );
     }

@@ -2,9 +2,10 @@
 //!
 //! Two tiers: single-bank `execute_local` microbenches (the lockstep
 //! engine's per-stock kernel), and paper-scale (1026-stock) one-instruction
-//! cross-sections through both engines' `run_function` — lockstep
-//! re-dispatches the op per stock and gathers/scatters relation operands,
-//! columnar dispatches once and sweeps contiguous planes.
+//! cross-sections through the lockstep oracle's `run_function` and slot 0
+//! of a `B = 1` tile — lockstep re-dispatches the op per stock and
+//! gathers/scatters relation operands, the tile dispatches once and sweeps
+//! contiguous planes.
 
 use std::time::Duration;
 
@@ -16,8 +17,8 @@ use alphaevolve_bench::paper_scale_dataset;
 use alphaevolve_core::compile::lower_instr;
 use alphaevolve_core::op::execute_local;
 use alphaevolve_core::{
-    compile, AlphaProgram, ColumnarInterpreter, CompiledInstr, GroupIndex, Instruction,
-    Interpreter, MemoryBank, Op,
+    compile, rewrite_operands, slot_offsets, AlphaConfig, AlphaProgram, BatchInterpreter,
+    CompiledInstr, GroupIndex, Instruction, Interpreter, MemoryBank, Op,
 };
 use alphaevolve_market::DayMajorPanel;
 
@@ -51,15 +52,22 @@ fn bench_op(c: &mut Criterion, name: &str, instr: Instruction) {
     });
 }
 
+/// Lowers single instructions onto slot 0 of a `B = 1` tile, with
+/// `lower_instr` (no dead-code analysis — `compile()` would strip a lone
+/// benched instruction that doesn't feed `s1`). None of them writes `m0`.
+fn lower_on_slot0(instrs: &[Instruction], cfg: &AlphaConfig, k: usize) -> Vec<CompiledInstr> {
+    let mut lowered: Vec<CompiledInstr> =
+        instrs.iter().map(|i| lower_instr(i, cfg.dim, k)).collect();
+    rewrite_operands(&mut lowered, slot_offsets(cfg, k, 0, true));
+    lowered
+}
+
 /// One-instruction cross-sections at 1026 stocks through both engines.
-/// Single instructions are lowered with `lower_instr` (no dead-code
-/// analysis — `compile()` would strip a lone benched instruction that
-/// doesn't feed `s1`).
 fn bench_cross_section_ops(c: &mut Criterion) {
     let dataset = paper_scale_dataset();
     let groups = GroupIndex::from_universe(dataset.universe());
     let panel = DayMajorPanel::from_panel(dataset.panel());
-    let cfg = alphaevolve_core::AlphaConfig::default();
+    let cfg = AlphaConfig::default();
     let k = dataset.n_stocks();
 
     // Fill registers with identical non-trivial values on both engines
@@ -74,10 +82,8 @@ fn bench_cross_section_ops(c: &mut Criterion) {
     ];
     let mut lockstep = Interpreter::new(&cfg, &dataset, &groups, 7);
     lockstep.run_function(&warm);
-    let mut columnar = ColumnarInterpreter::new(&cfg, &dataset, &panel, &groups, 7);
-    let warm_lowered: Vec<CompiledInstr> =
-        warm.iter().map(|i| lower_instr(i, cfg.dim, k)).collect();
-    columnar.run_function(&warm_lowered);
+    let mut columnar = BatchInterpreter::new(&cfg, &dataset, &panel, &groups, 7, 1);
+    columnar.run_function_slot(0, &lower_on_slot0(&warm, &cfg, k));
 
     let cases = [
         (
@@ -122,9 +128,9 @@ fn bench_cross_section_ops(c: &mut Criterion) {
         c.bench_function(&format!("op1026/{name}_lockstep"), |b| {
             b.iter(|| lockstep.run_function(std::hint::black_box(&single)));
         });
-        let lowered = [lower_instr(&instr, cfg.dim, k)];
+        let lowered = lower_on_slot0(&single, &cfg, k);
         c.bench_function(&format!("op1026/{name}_columnar"), |b| {
-            b.iter(|| columnar.run_function(std::hint::black_box(&lowered)));
+            b.iter(|| columnar.run_function_slot(0, std::hint::black_box(&lowered)));
         });
     }
 
@@ -143,9 +149,9 @@ fn bench_cross_section_ops(c: &mut Criterion) {
         ),
     ];
     for (name, instr) in in_place {
-        let lowered = [lower_instr(&instr, cfg.dim, k)];
+        let lowered = lower_on_slot0(&[instr], &cfg, k);
         c.bench_function(&format!("op1026/{name}_columnar"), |b| {
-            b.iter(|| columnar.run_function(std::hint::black_box(&lowered)));
+            b.iter(|| columnar.run_function_slot(0, std::hint::black_box(&lowered)));
         });
     }
     let pair = [
@@ -157,17 +163,18 @@ fn bench_cross_section_ops(c: &mut Criterion) {
         predict: vec![Instruction::new(Op::MMean, 1, 0, 1, [0.0; 2], [0; 2])],
         update: pair.to_vec(),
     };
-    let fused = compile(&rank_1, &cfg, k).update;
+    let mut fused = compile(&rank_1, &cfg, k).update;
     assert!(
         fused.len() == 1 && fused[0].fused.is_some(),
         "the pair must fuse: {fused:?}"
     );
+    rewrite_operands(&mut fused, slot_offsets(&cfg, k, 0, true));
     c.bench_function("op1026/outer_then_add_columnar", |b| {
-        b.iter(|| columnar.run_function(std::hint::black_box(&fused)));
+        b.iter(|| columnar.run_function_slot(0, std::hint::black_box(&fused)));
     });
-    let unfused: Vec<CompiledInstr> = pair.iter().map(|i| lower_instr(i, cfg.dim, k)).collect();
+    let unfused = lower_on_slot0(&pair, &cfg, k);
     c.bench_function("op1026/outer_then_add_unfused_columnar", |b| {
-        b.iter(|| columnar.run_function(std::hint::black_box(&unfused)));
+        b.iter(|| columnar.run_function_slot(0, std::hint::black_box(&unfused)));
     });
 }
 

@@ -10,11 +10,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use alphaevolve_backtest::CrossSections;
-use alphaevolve_bench::{bench_dataset, paper_scale_dataset};
-use alphaevolve_core::{
-    compile, init, AlphaConfig, AlphaProgram, ColumnarInterpreter, EvalOptions, GroupIndex,
-    Instruction, Op,
-};
+use alphaevolve_bench::{bench_dataset, paper_scale_dataset, SoloTile};
+use alphaevolve_core::{init, AlphaConfig, AlphaProgram, EvalOptions, GroupIndex, Instruction, Op};
 use alphaevolve_market::{Dataset, DayMajorPanel};
 use alphaevolve_store::AlphaServer;
 
@@ -60,28 +57,28 @@ struct NaiveServer<'a> {
 
 impl NaiveServer<'_> {
     /// The baseline a serving layer without persistent compiled artifacts
-    /// pays per request: compile, reset, setup, full training sweep, then
-    /// the one requested day — for every program in the batch.
+    /// pays per request: compile, a fresh `B = 1` tile, setup, full
+    /// training sweep, then the one requested day — for every program in
+    /// the batch.
     fn compile_per_request(&self, day: usize, out: &mut [f64]) {
         let k = self.ds.n_stocks();
         for (row, (_, prog)) in self.programs.iter().enumerate() {
-            let compiled = compile(prog, self.cfg, k);
-            let mut interp = ColumnarInterpreter::new(
+            let mut tile = SoloTile::new(
                 self.cfg,
                 self.ds,
                 self.panel,
                 self.groups,
                 self.opts.seed,
+                prog,
             );
-            interp.run_setup(&compiled);
             if alphaevolve_core::liveness(prog).stateful {
                 for _ in 0..self.opts.train_epochs {
                     for d in self.ds.train_days() {
-                        interp.train_day(&compiled, d, self.opts.run_update);
+                        tile.train_day(d, self.opts.run_update);
                     }
                 }
             }
-            interp.predict_day(&compiled, day, &mut out[row * k..(row + 1) * k]);
+            tile.predict_day(day, &mut out[row * k..(row + 1) * k]);
         }
     }
 }

@@ -1,9 +1,10 @@
 //! The compile half of the columnar compile-then-execute pipeline.
 //!
-//! The columnar interpreter ([`crate::interp::ColumnarInterpreter`]) does
-//! not walk raw [`AlphaProgram`]s. Each candidate is first lowered to a
+//! The columnar tile ([`crate::interp::BatchInterpreter`]) does not walk
+//! raw [`AlphaProgram`]s. Each candidate is first lowered to a
 //! [`CompiledProgram`] whose instructions have their work hoisted out of
-//! the per-(instruction × stock) hot loop:
+//! the per-(instruction × stock) hot loop, then relocated onto its tile
+//! slot ([`relocate_for_slot`]):
 //!
 //! * **dead-code stripping** — instructions whose output is never demanded
 //!   (per the same backward-liveness fixpoint as [`crate::prune`](mod@crate::prune)) are
@@ -21,8 +22,8 @@
 //! * **input-cell analysis** — [`CompiledProgram::input_cells`] records
 //!   which cells of the input matrix `m0` the kept instructions can read:
 //!   an ExtractionOp reads one cell, row or column; any other read of
-//!   `m0` reads all of it. The columnar engines copy only those cells of
-//!   each day's feature window, since a cell outside the mask is never
+//!   `m0` reads all of it. The tile copies only those cells of each
+//!   day's feature window, since a cell outside the mask is never
 //!   read (the paper's formulaic alphas read a handful of the 169).
 //! * **rank-1 fusion** — a `VOuter t = u ⊗ v` whose only reader in the
 //!   whole program is a following `MAdd w = x + t` (or `t + x`) becomes one
@@ -485,19 +486,34 @@ pub fn relocate_for_slot(
     slot: usize,
     share_m0: bool,
 ) {
+    let reloc = slot_offsets(cfg, n_stocks, slot, share_m0);
+    for body in prog.bodies_mut() {
+        rewrite_operands(body, &reloc);
+    }
+}
+
+/// The offset map [`relocate_for_slot`] applies to every operand: an
+/// unrelocated `(kind, offset)` to its offset in tile slot `slot`. Slot
+/// 0's scalar and vector planes keep their offsets and its matrix planes
+/// shift past the shared `m0`, whatever the tile's register counts, so
+/// the serving layer maps planes it appends after `cfg`'s banks through
+/// it too.
+pub fn slot_offsets(
+    cfg: &AlphaConfig,
+    n_stocks: usize,
+    slot: usize,
+    share_m0: bool,
+) -> impl Fn(Kind, usize) -> usize {
     let k = n_stocks;
     let d = cfg.dim;
     let s_base = slot * cfg.n_scalars * k;
     let v_base = slot * cfg.n_vectors * d * k;
     let m_base = (1 + slot * cfg.n_matrices) * d * d * k;
-    let reloc = |kind: Kind, off: usize| match kind {
+    move |kind: Kind, off: usize| match kind {
         Kind::S => s_base + off,
         Kind::V => v_base + off,
         Kind::M if off == 0 && share_m0 => 0,
         Kind::M => m_base + off,
-    };
-    for body in prog.bodies_mut() {
-        rewrite_operands(body, reloc);
     }
 }
 

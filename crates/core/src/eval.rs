@@ -6,6 +6,30 @@
 //! killed (fitness `None`) — the evaluator aborts the validation sweep at
 //! the first bad day instead of clamping.
 //!
+//! # One engine, one training loop
+//!
+//! Every evaluation runs through a [`BatchArena`]: a
+//! [`BatchInterpreter`] tile of `B` slots plus per-slot compile,
+//! prediction and return buffers (see [`BatchInterpreter`] for the tile
+//! layout). [`Evaluator::train_batch_in`] is the one training loop —
+//! reset, `Setup()`, then one shared load per training day and each
+//! slot's predict and update against it — behind all three callers:
+//!
+//! * [`Evaluator::evaluate_batch_in`], which the search feeds tiles of up
+//!   to `B` candidates, then sweeps the validation days (a dead slot stops
+//!   at its first non-finite day) and scores each slot's IC;
+//! * [`Evaluator::evaluate`], [`Evaluator::evaluate_opt`] and
+//!   [`Evaluator::backtest`], each a throwaway `B = 1` tile;
+//! * the serving layer, which trains each archived program on one reused
+//!   `B = 1` tile and predicts from the trained state.
+//!
+//! Each day loads only the feature cells some slot can read (the union of
+//! the slots' [`CompiledProgram::input_cells`]) into the tile's shared
+//! `m0` plane, once for the whole tile. Slots are fully private — register
+//! planes, RNG streams, `rel_lane` state — so a candidate's fitness,
+//! validation returns and RNG streams are the same bits in any slot of any
+//! tile width.
+//!
 //! # The zero-allocation hot path
 //!
 //! Evaluation throughput bounds search quality (§4.2: one-epoch training,
@@ -17,38 +41,19 @@
 //!   ([`DayMajorPanel`]) is transposed once — both shared behind `Arc`
 //!   (cloning an [`Evaluator`] via [`Evaluator::with_options`] shares,
 //!   not copies);
-//! * each worker owns one [`EvalArena`] — a [`ColumnarInterpreter`] plus
-//!   compile buffers and prediction/return/ranking scratch — reset via
-//!   [`ColumnarInterpreter::reset`] between candidates rather than
-//!   reconstructed;
+//! * each worker owns one [`BatchArena`], whose slots are reset in place
+//!   between tiles rather than reconstructed;
 //! * each candidate is lowered once per evaluation by
 //!   [`compile_into`](crate::compile::compile_into()) (dead code stripped,
-//!   register offsets resolved) and then executed columnar: the `Op`
-//!   dispatch runs once per instruction, not once per instruction × stock;
-//! * [`Evaluator::evaluate_in`] runs one candidate through an arena with
-//!   **zero heap allocations** (asserted by the `hot_path_alloc`
-//!   integration test): predictions land in the arena's flat panel, the IC
-//!   streams without collecting, and portfolio returns fill a reused
-//!   buffer.
-//!
-//! [`Evaluator::evaluate`] remains as a convenience wrapper that builds a
-//! throwaway arena.
-//!
-//! # Batched evaluation
-//!
-//! [`Evaluator::evaluate_batch_in`] scores a *tile* of up to `B`
-//! candidates per training sweep through a [`BatchArena`]: each day's
-//! feature cells that some slot can read (the union of the slots'
-//! [`CompiledProgram::input_cells`]) are loaded into the tile's shared
-//! `m0` plane once and every slot's function bodies run against it
-//! before the sweep advances, amortizing the panel copies across the
-//! batch (the same shape the serving layer proved with `AlphaServer`).
-//! The contract is strict bit-identity with the sequential path: per-slot
-//! register planes, RNG streams, and `rel_lane` state are fully private
-//! (see [`BatchInterpreter`] for the tile layout), so every candidate's
-//! fitness, validation returns, and RNG streams are bitwise equal to what
-//! [`Evaluator::evaluate_prepared_in`] produces for it alone.
+//!   register offsets resolved and relocated onto its slot) and then
+//!   executed columnar: the `Op` dispatch runs once per instruction, not
+//!   once per instruction × stock;
+//! * a warm arena scores a tile with **zero heap allocations** (asserted
+//!   by the `hot_path_alloc` integration test): predictions land in each
+//!   slot's flat panel, the IC streams without collecting, and portfolio
+//!   returns fill a reused buffer.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use alphaevolve_backtest::metrics::{information_coefficient, sharpe_ratio};
@@ -60,7 +65,8 @@ use alphaevolve_market::{Dataset, DayMajorPanel};
 
 use crate::compile::{compile_into, relocate_for_slot, writes_m0, CompileScratch, CompiledProgram};
 use crate::config::AlphaConfig;
-use crate::interp::{BatchInterpreter, ColumnarInterpreter};
+use crate::interp::BatchInterpreter;
+use crate::memory::RegisterFile;
 use crate::program::AlphaProgram;
 use crate::relation::GroupIndex;
 
@@ -129,54 +135,11 @@ pub struct BacktestReport {
 /// Flat label cross-sections for a day range of a dataset. The GP baseline
 /// keeps a private twin (`alphaevolve_gp::engine::labels` — gp does not
 /// depend on this crate); keep the two constructions in sync.
-pub fn labels_cross_sections(dataset: &Dataset, days: std::ops::Range<usize>) -> CrossSections {
+pub fn labels_cross_sections(dataset: &Dataset, days: Range<usize>) -> CrossSections {
     let start = days.start;
     CrossSections::from_fn(days.len(), dataset.n_stocks(), |d, s| {
         dataset.label(s, start + d)
     })
-}
-
-/// Per-worker evaluation state: one interpreter plus prediction, return
-/// and ranking scratch. Create once per worker with [`Evaluator::arena`],
-/// then feed every candidate through [`Evaluator::evaluate_in`] — after
-/// the buffers reach their high-water mark (first candidate), evaluation
-/// performs no heap allocation.
-pub struct EvalArena<'a> {
-    interp: ColumnarInterpreter<'a>,
-    compiled: CompiledProgram,
-    compile_scratch: CompileScratch,
-    preds: CrossSections,
-    returns: Vec<f64>,
-    rank_scratch: Vec<usize>,
-    spans: crate::telemetry::EvalSpans,
-}
-
-impl EvalArena<'_> {
-    /// The validation long-short returns of the last candidate evaluated
-    /// (empty when that candidate was invalid). Borrow this for the
-    /// weak-correlation gate instead of cloning.
-    pub fn val_returns(&self) -> &[f64] {
-        &self.returns
-    }
-
-    /// Moves the last candidate's validation returns out (the buffer is
-    /// replaced by an empty one — only do this off the hot path).
-    pub fn take_val_returns(&mut self) -> Vec<f64> {
-        std::mem::take(&mut self.returns)
-    }
-
-    /// Captures the interpreter's per-stock RNG stream states (test hook
-    /// for the batched-evaluation RNG-stream contract).
-    pub fn rng_states_into(&self, out: &mut Vec<[u64; 4]>) {
-        self.interp.rng_states_into(out);
-    }
-
-    /// Takes the span timers and rank-cache counts accumulated since the
-    /// last call (all zeros without the `obs` feature). Alloc-free.
-    pub fn drain_telemetry(&mut self) -> crate::telemetry::EvalSpans {
-        self.spans.absorb_rank_stats(self.interp.take_rank_stats());
-        self.spans.drain()
-    }
 }
 
 /// One candidate's slot in a [`BatchArena`]: its relocated compiled
@@ -186,9 +149,9 @@ struct BatchSlot {
     preds: CrossSections,
     returns: Vec<f64>,
     fitness: Option<f64>,
-    /// Validation days the last tile predicted for this slot (all of
-    /// them, or up to its first non-finite day).
-    val_days: usize,
+    /// Days the last sweep predicted for this slot (all of them, or up
+    /// to its first non-finite day).
+    swept_days: usize,
     skip_training: bool,
     /// Whether the slot reads the tile's shared `m0` plane directly
     /// (its program never writes `m0`) or owns a staged private copy.
@@ -196,14 +159,14 @@ struct BatchSlot {
     live: bool,
 }
 
-/// Per-worker *batched* evaluation state: one [`BatchInterpreter`] tile of
-/// `B` slots plus per-slot compile/prediction/return buffers. Create once
-/// per worker with [`Evaluator::batch_arena`], fill with
-/// [`BatchArena::push`], score the whole tile with
-/// [`Evaluator::evaluate_batch_in`], read results per slot, then
-/// [`BatchArena::clear`] and refill — allocation-free once every buffer
-/// has hit its high-water mark (partially-filled tiles included, pinned
-/// by `tests/hot_path_alloc.rs`).
+/// Per-worker evaluation state: one [`BatchInterpreter`] tile of `B`
+/// slots (`B = 1` for one candidate at a time) plus per-slot
+/// compile/prediction/return buffers. Create once per worker with
+/// [`Evaluator::batch_arena`], fill with [`BatchArena::push`], score the
+/// whole tile with [`Evaluator::evaluate_batch_in`], read results per
+/// slot, then [`BatchArena::clear`] and refill — allocation-free once
+/// every buffer has hit its high-water mark (partially-filled tiles
+/// included, pinned by `tests/hot_path_alloc.rs`).
 pub struct BatchArena<'a> {
     interp: BatchInterpreter<'a>,
     slots: Vec<BatchSlot>,
@@ -221,8 +184,10 @@ pub struct BatchArena<'a> {
 impl BatchArena<'_> {
     /// Compiles `prog` into the next free slot (lower + m0-clobber
     /// analysis + per-slot offset relocation) and returns its slot index.
-    /// `skip_training` must only be `true` for stateless programs, exactly
-    /// as for [`Evaluator::evaluate_prepared_in`].
+    /// `skip_training` skips the training sweep (the §4.2 stateless-alpha
+    /// shortcut); it must only be `true` for stateless programs, whose
+    /// predictions are provably identical either way (the search knows
+    /// `stateful` from its fingerprint pruning pass).
     ///
     /// # Panics
     /// If the tile is already full ([`BatchArena::is_full`]).
@@ -287,10 +252,17 @@ impl BatchArena<'_> {
         &self.slots[slot].returns
     }
 
-    /// Captures slot `slot`'s per-stock RNG stream states (test hook for
-    /// the RNG-stream contract).
+    /// Captures slot `slot`'s per-stock RNG stream states (the
+    /// RNG-stream contract's test hook, and a server's post-training
+    /// snapshot of a stochastic predict).
     pub fn rng_states_into(&self, slot: usize, out: &mut Vec<[u64; 4]>) {
         self.interp.rng_states_into_slot(slot, out);
+    }
+
+    /// The tile's register file: after [`Evaluator::train_batch_in`], a
+    /// server reads the trained planes of slot 0 from it.
+    pub fn registers(&self) -> &RegisterFile {
+        self.interp.registers()
     }
 
     /// Takes the span timers and rank-cache counts accumulated since the
@@ -354,6 +326,16 @@ impl Evaluator {
         &self.val_labels
     }
 
+    /// The stock-major input panel every tile loads its days from.
+    pub fn day_major(&self) -> &DayMajorPanel {
+        &self.day_major
+    }
+
+    /// The dataset's sector/industry groups, for the RelationOps.
+    pub fn groups(&self) -> &GroupIndex {
+        &self.groups
+    }
+
     /// Replaces the evaluation options (used by the `_P` ablation). Label
     /// and input panels are shared with the parent, not deep-cloned.
     pub fn with_options(&self, opts: EvalOptions) -> Evaluator {
@@ -366,75 +348,6 @@ impl Evaluator {
             val_labels: Arc::clone(&self.val_labels),
             test_labels: Arc::clone(&self.test_labels),
         }
-    }
-
-    /// Builds a reusable per-worker evaluation arena. This is the only
-    /// place interpreter state is allocated; candidates then flow through
-    /// [`Evaluator::evaluate_in`] allocation-free.
-    pub fn arena(&self) -> EvalArena<'_> {
-        let val = self.dataset.valid_days().len();
-        let test = self.dataset.test_days().len();
-        let days = val.max(test);
-        let k = self.dataset.n_stocks();
-        EvalArena {
-            interp: ColumnarInterpreter::new(
-                &self.cfg,
-                &self.dataset,
-                &self.day_major,
-                &self.groups,
-                self.opts.seed,
-            ),
-            compiled: CompiledProgram::with_capacity(&self.cfg),
-            compile_scratch: CompileScratch::default(),
-            preds: CrossSections::new(days, k),
-            returns: Vec::with_capacity(days),
-            rank_scratch: Vec::with_capacity(k),
-            spans: crate::telemetry::EvalSpans::default(),
-        }
-    }
-
-    /// `Setup()` plus the training epochs (skipped entirely when
-    /// `skip_training` — the §4.2 stateless-alpha shortcut).
-    fn train(
-        &self,
-        interp: &mut ColumnarInterpreter<'_>,
-        prog: &CompiledProgram,
-        skip_training: bool,
-    ) {
-        interp.run_setup(prog);
-        if skip_training {
-            return;
-        }
-        for _ in 0..self.opts.train_epochs {
-            for day in self.dataset.train_days() {
-                interp.train_day(prog, day, self.opts.run_update);
-            }
-        }
-    }
-
-    /// Predict-only sweep over `days` into the flat `preds` panel. When
-    /// `abort_on_invalid`, the first day with a non-finite prediction is
-    /// marked invalid in the panel (nothing is copied or truncated), the
-    /// sweep stops there, and its index is returned.
-    fn sweep(
-        &self,
-        interp: &mut ColumnarInterpreter<'_>,
-        prog: &CompiledProgram,
-        days: std::ops::Range<usize>,
-        abort_on_invalid: bool,
-        preds: &mut CrossSections,
-    ) -> Option<usize> {
-        let k = self.dataset.n_stocks();
-        preds.reset(days.len(), k);
-        for (i, day) in days.enumerate() {
-            let row = preds.row_mut(i);
-            interp.predict_day(prog, day, row);
-            if abort_on_invalid && !row.iter().all(|x| x.is_finite()) {
-                preds.invalidate_day(i);
-                return Some(i);
-            }
-        }
-        None
     }
 
     /// Counts `prog`'s op executions into `spans`: setup once, predict on
@@ -468,90 +381,22 @@ impl Evaluator {
 
     /// [`Evaluator::evaluate`] with the stateless-skip optimization made
     /// explicit (pass `false` from pipelines that must not use any
-    /// pruning-derived analysis, such as the Table-6 `_N` baseline).
+    /// pruning-derived analysis, such as the Table-6 `_N` baseline). Runs
+    /// a throwaway `B = 1` tile; a caller scoring many candidates keeps a
+    /// [`BatchArena`] instead.
     pub fn evaluate_opt(&self, prog: &AlphaProgram, allow_stateless_skip: bool) -> Evaluation {
-        let mut arena = self.arena();
-        let fitness = self.evaluate_opt_in(&mut arena, prog, allow_stateless_skip);
+        let mut arena = self.batch_arena(1);
+        arena.push(
+            prog,
+            allow_stateless_skip && !crate::prune::liveness(prog).stateful,
+        );
+        self.evaluate_batch_in(&mut arena);
+        let fitness = arena.fitness(0);
         Evaluation {
             fitness,
             ic: fitness.unwrap_or(0.0),
-            val_returns: arena.take_val_returns(),
+            val_returns: arena.val_returns(0).to_vec(),
         }
-    }
-
-    /// Scores a candidate in a reusable arena: fitness is `Some(validation
-    /// IC)`, or `None` when predictions went non-finite. The validation
-    /// portfolio returns stay in the arena ([`EvalArena::val_returns`]).
-    /// Allocation-free once the arena is warm.
-    pub fn evaluate_in(&self, arena: &mut EvalArena<'_>, prog: &AlphaProgram) -> Option<f64> {
-        self.evaluate_opt_in(arena, prog, true)
-    }
-
-    /// [`Evaluator::evaluate_in`] with the stateless-skip optimization
-    /// made explicit.
-    pub fn evaluate_opt_in(
-        &self,
-        arena: &mut EvalArena<'_>,
-        prog: &AlphaProgram,
-        allow_stateless_skip: bool,
-    ) -> Option<f64> {
-        let skip = allow_stateless_skip && !crate::prune::liveness(prog).stateful;
-        self.evaluate_prepared_in(arena, prog, skip)
-    }
-
-    /// The lowest-level entry: the caller has already decided whether the
-    /// training sweep may be skipped (e.g. the evolution pipeline knows
-    /// `stateful` from the fingerprint pruning pass and avoids
-    /// re-analyzing). `skip_training` must only be `true` for stateless
-    /// programs, whose predictions are provably identical either way.
-    pub fn evaluate_prepared_in(
-        &self,
-        arena: &mut EvalArena<'_>,
-        prog: &AlphaProgram,
-        skip_training: bool,
-    ) -> Option<f64> {
-        let EvalArena {
-            interp,
-            compiled,
-            compile_scratch,
-            preds,
-            returns,
-            rank_scratch,
-            spans,
-        } = arena;
-        let t = crate::telemetry::mark();
-        compile_into(
-            prog,
-            &self.cfg,
-            self.dataset.n_stocks(),
-            compile_scratch,
-            compiled,
-        );
-        spans.compile_ns.add(t.elapsed_ns());
-        spans.candidates.inc();
-        let prog = &*compiled;
-        interp.reset();
-        let t = crate::telemetry::mark();
-        self.train(interp, prog, skip_training);
-        spans.train_ns.add(t.elapsed_ns());
-        let t = crate::telemetry::mark();
-        let bad_day = self.sweep(interp, prog, self.dataset.valid_days(), true, preds);
-        spans.predict_ns.add(t.elapsed_ns());
-        let swept = bad_day.map_or(self.dataset.valid_days().len(), |i| i + 1);
-        self.count_ops(spans, prog, !skip_training, swept);
-        if bad_day.is_some() {
-            returns.clear();
-            return None;
-        }
-        let ic = information_coefficient(preds, &self.val_labels);
-        long_short_returns_into(
-            preds,
-            &self.val_labels,
-            &self.opts.long_short,
-            rank_scratch,
-            returns,
-        );
-        Some(ic)
     }
 
     /// Builds a reusable batched evaluation arena with `batch` tile slots
@@ -575,7 +420,7 @@ impl Evaluator {
                     preds: CrossSections::new(n_days, k),
                     returns: Vec::with_capacity(n_days),
                     fitness: None,
-                    val_days: 0,
+                    swept_days: 0,
                     skip_training: false,
                     share_m0: true,
                     live: false,
@@ -595,114 +440,23 @@ impl Evaluator {
     /// each training/validation day's feature panel is loaded once and
     /// dispatched across all slots before the sweep advances. Results land
     /// per slot ([`BatchArena::fitness`], [`BatchArena::val_returns`]) and
-    /// are bit-identical to running each candidate alone through
-    /// [`Evaluator::evaluate_prepared_in`] — including RNG streams,
-    /// invalid-day aborts (a dead slot stops executing at its first
-    /// non-finite day, exactly like the sequential abort), and the
-    /// stateless `skip_training` shortcut per slot. Allocation-free once
-    /// the arena is warm. A no-op on an empty tile.
+    /// are bit-identical to the same candidate alone in a `B = 1` tile —
+    /// including RNG streams, invalid-day aborts (a dead slot stops
+    /// executing at its first non-finite day), and the stateless
+    /// `skip_training` shortcut per slot. Allocation-free once the arena
+    /// is warm. A no-op on an empty tile.
     pub fn evaluate_batch_in(&self, arena: &mut BatchArena<'_>) {
+        self.train_batch_in(arena);
+        self.sweep(arena, self.dataset.valid_days(), true);
         let BatchArena {
-            interp,
             slots,
             rank_scratch,
             filled,
-            input_cells,
             spans,
             ..
         } = arena;
-        let filled = *filled;
-        let k = self.dataset.n_stocks();
-
-        // The tile loads only the m0 cells some slot can read.
-        input_cells.fill(false);
-        for s in &slots[..filled] {
-            for (u, &c) in input_cells.iter_mut().zip(&s.compiled.input_cells) {
-                *u |= c;
-            }
-        }
-        let input_cells = &*input_cells;
-        let load_bytes = (input_cells.iter().filter(|&&c| c).count() * k * 8) as u64;
-
-        // Sequential evaluation starts from a zeroed register file, so a
-        // Setup() body reading m0 must see zeros, not a stale panel.
-        interp.reset_shared_input(input_cells);
-        let t = crate::telemetry::mark();
-        for (b, s) in slots[..filled].iter_mut().enumerate() {
-            interp.reset_slot(b);
-            interp.debug_assert_slot_clean(b);
-            interp.run_function_slot(b, &s.compiled.setup);
-            s.live = true;
-        }
-        spans.train_ns.add(t.elapsed_ns());
-
-        // Training sweep: one shared panel load per day, program-major
-        // inner walk across the training slots.
-        if slots[..filled].iter().any(|s| !s.skip_training) {
-            for _ in 0..self.opts.train_epochs {
-                for day in self.dataset.train_days() {
-                    let t = crate::telemetry::mark();
-                    interp.load_day(day, input_cells);
-                    spans.load_day_ns.add(t.elapsed_ns());
-                    spans.load_day_bytes.add(load_bytes);
-                    for (b, s) in slots[..filled].iter().enumerate() {
-                        if s.skip_training {
-                            continue;
-                        }
-                        if !s.share_m0 {
-                            interp.stage_private_m0(b);
-                        }
-                        let t = crate::telemetry::mark();
-                        interp.run_function_slot(b, &s.compiled.predict);
-                        spans.predict_ns.add(t.elapsed_ns());
-                        if self.opts.run_update {
-                            let t = crate::telemetry::mark();
-                            interp.load_labels_slot(b, day);
-                            interp.run_function_slot(b, &s.compiled.update);
-                            spans.update_ns.add(t.elapsed_ns());
-                        }
-                    }
-                }
-            }
-        }
-
-        // Validation sweep, aborting dead slots at their first bad day.
-        let days = self.dataset.valid_days();
-        let n_days = days.len();
-        for s in &mut slots[..filled] {
-            s.preds.reset(n_days, k);
-            s.val_days = n_days;
-        }
-        for (i, day) in days.enumerate() {
-            if slots[..filled].iter().all(|s| !s.live) {
-                break;
-            }
-            let t = crate::telemetry::mark();
-            interp.load_day(day, input_cells);
-            spans.load_day_ns.add(t.elapsed_ns());
-            spans.load_day_bytes.add(load_bytes);
-            for (b, s) in slots[..filled].iter_mut().enumerate() {
-                if !s.live {
-                    continue;
-                }
-                if !s.share_m0 {
-                    interp.stage_private_m0(b);
-                }
-                let t = crate::telemetry::mark();
-                interp.run_function_slot(b, &s.compiled.predict);
-                let row = s.preds.row_mut(i);
-                interp.read_predictions_slot(b, row);
-                spans.predict_ns.add(t.elapsed_ns());
-                if !row.iter().all(|x| x.is_finite()) {
-                    s.preds.invalidate_day(i);
-                    s.val_days = i + 1;
-                    s.live = false;
-                }
-            }
-        }
-
-        for s in &mut slots[..filled] {
-            self.count_ops(spans, &s.compiled, !s.skip_training, s.val_days);
+        for s in &mut slots[..*filled] {
+            self.count_ops(spans, &s.compiled, !s.skip_training, s.swept_days);
             if s.live {
                 let ic = information_coefficient(&s.preds, &self.val_labels);
                 long_short_returns_into(
@@ -720,37 +474,147 @@ impl Evaluator {
         }
     }
 
-    /// Full backtest of a finished alpha: train, then predict-only through
-    /// the validation days (keeping recurrent state contiguous) and the
-    /// held-out test days. Non-finite predictions are tolerated here (the
-    /// portfolio treats those stocks as untradeable) so even a degenerate
-    /// alpha gets a report.
-    pub fn backtest(&self, prog: &AlphaProgram) -> BacktestReport {
-        let mut arena = self.arena();
-        self.backtest_in(&mut arena, prog)
-    }
-
-    /// [`Evaluator::backtest`] against a reusable arena.
-    pub fn backtest_in(&self, arena: &mut EvalArena<'_>, prog: &AlphaProgram) -> BacktestReport {
-        let EvalArena {
+    /// The one training loop: resets every filled slot, runs its
+    /// `Setup()`, then the training epochs — one shared load of the
+    /// tile's input cells per day, and each training slot's predict and
+    /// update against it. Slots pushed with `skip_training` run only
+    /// `Setup()`. [`Evaluator::evaluate_batch_in`] and
+    /// [`Evaluator::backtest`] continue from here; a server reads the
+    /// trained planes ([`BatchArena::registers`]) and RNG streams
+    /// ([`BatchArena::rng_states_into`]) of slot 0 and predicts from them.
+    pub fn train_batch_in(&self, arena: &mut BatchArena<'_>) {
+        let BatchArena {
             interp,
-            compiled,
-            compile_scratch,
-            preds,
+            slots,
+            filled,
+            input_cells,
+            spans,
             ..
         } = arena;
-        compile_into(
-            prog,
-            &self.cfg,
-            self.dataset.n_stocks(),
-            compile_scratch,
-            compiled,
-        );
-        let skip = !crate::prune::liveness(prog).stateful;
-        let prog = &*compiled;
-        interp.reset();
-        self.train(interp, prog, skip);
-        let split = |preds: &CrossSections, labels: &CrossSections| {
+        let slots = &mut slots[..*filled];
+
+        // The tile loads only the m0 cells some slot can read.
+        input_cells.fill(false);
+        for s in &*slots {
+            for (u, &c) in input_cells.iter_mut().zip(&s.compiled.input_cells) {
+                *u |= c;
+            }
+        }
+        let input_cells = &*input_cells;
+        let load_bytes = self.load_bytes(input_cells);
+
+        // Evaluation starts from a zeroed register file, so a Setup()
+        // body reading m0 must see zeros, not a stale panel.
+        interp.reset_shared_input(input_cells);
+        let t = crate::telemetry::mark();
+        for (b, s) in slots.iter_mut().enumerate() {
+            interp.reset_slot(b);
+            interp.debug_assert_slot_clean(b);
+            interp.run_function_slot(b, &s.compiled.setup);
+            s.live = true;
+        }
+        spans.train_ns.add(t.elapsed_ns());
+
+        // Training sweep: one shared panel load per day, program-major
+        // inner walk across the training slots.
+        if slots.iter().all(|s| s.skip_training) {
+            return;
+        }
+        for _ in 0..self.opts.train_epochs {
+            for day in self.dataset.train_days() {
+                let t = crate::telemetry::mark();
+                interp.load_day(day, input_cells);
+                spans.load_day_ns.add(t.elapsed_ns());
+                spans.load_day_bytes.add(load_bytes);
+                for (b, s) in slots.iter().enumerate() {
+                    if s.skip_training {
+                        continue;
+                    }
+                    if !s.share_m0 {
+                        interp.stage_private_m0(b, input_cells);
+                    }
+                    let t = crate::telemetry::mark();
+                    interp.run_function_slot(b, &s.compiled.predict);
+                    spans.predict_ns.add(t.elapsed_ns());
+                    if self.opts.run_update {
+                        let t = crate::telemetry::mark();
+                        interp.load_labels_slot(b, day);
+                        interp.run_function_slot(b, &s.compiled.update);
+                        spans.update_ns.add(t.elapsed_ns());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Predict-only sweep of every live slot over `days` into its flat
+    /// `preds` panel, continuing from the state training (and any earlier
+    /// sweep) left. When `abort_on_invalid`, a slot's first day with a
+    /// non-finite prediction is marked invalid in its panel (nothing is
+    /// copied or truncated) and the slot stops there.
+    fn sweep(&self, arena: &mut BatchArena<'_>, days: Range<usize>, abort_on_invalid: bool) {
+        let BatchArena {
+            interp,
+            slots,
+            filled,
+            input_cells,
+            spans,
+            ..
+        } = arena;
+        let slots = &mut slots[..*filled];
+        let input_cells = &*input_cells;
+        let load_bytes = self.load_bytes(input_cells);
+        let k = self.dataset.n_stocks();
+        for s in &mut *slots {
+            s.preds.reset(days.len(), k);
+            s.swept_days = days.len();
+        }
+        for (i, day) in days.enumerate() {
+            if slots.iter().all(|s| !s.live) {
+                break;
+            }
+            let t = crate::telemetry::mark();
+            interp.load_day(day, input_cells);
+            spans.load_day_ns.add(t.elapsed_ns());
+            spans.load_day_bytes.add(load_bytes);
+            for (b, s) in slots.iter_mut().enumerate() {
+                if !s.live {
+                    continue;
+                }
+                if !s.share_m0 {
+                    interp.stage_private_m0(b, input_cells);
+                }
+                let t = crate::telemetry::mark();
+                interp.run_function_slot(b, &s.compiled.predict);
+                let row = s.preds.row_mut(i);
+                interp.read_predictions_slot(b, row);
+                spans.predict_ns.add(t.elapsed_ns());
+                if abort_on_invalid && !row.iter().all(|x| x.is_finite()) {
+                    s.preds.invalidate_day(i);
+                    s.swept_days = i + 1;
+                    s.live = false;
+                }
+            }
+        }
+    }
+
+    /// Bytes one day's load of `input_cells` copies into the shared `m0`.
+    fn load_bytes(&self, input_cells: &[bool]) -> u64 {
+        (input_cells.iter().filter(|&&c| c).count() * self.dataset.n_stocks() * 8) as u64
+    }
+
+    /// Full backtest of a finished alpha on a `B = 1` tile: train, then
+    /// predict-only through the validation days (keeping recurrent state
+    /// contiguous) and the held-out test days. Non-finite predictions are
+    /// tolerated here (the portfolio treats those stocks as untradeable)
+    /// so even a degenerate alpha gets a report.
+    pub fn backtest(&self, prog: &AlphaProgram) -> BacktestReport {
+        let mut arena = self.batch_arena(1);
+        arena.push(prog, !crate::prune::liveness(prog).stateful);
+        self.train_batch_in(&mut arena);
+        let mut split = |days: Range<usize>, labels: &CrossSections| {
+            self.sweep(&mut arena, days, false);
+            let preds = &arena.slots[0].preds;
             let returns = long_short_returns(preds, labels, &self.opts.long_short);
             SplitMetrics {
                 ic: information_coefficient(preds, labels),
@@ -758,10 +622,8 @@ impl Evaluator {
                 returns,
             }
         };
-        self.sweep(interp, prog, self.dataset.valid_days(), false, preds);
-        let val = split(preds, &self.val_labels);
-        self.sweep(interp, prog, self.dataset.test_days(), false, preds);
-        let test = split(preds, &self.test_labels);
+        let val = split(self.dataset.valid_days(), &self.val_labels);
+        let test = split(self.dataset.test_days(), &self.test_labels);
         BacktestReport { val, test }
     }
 }
@@ -833,10 +695,18 @@ mod tests {
         assert_eq!(a.val_returns, b.val_returns);
     }
 
+    /// Scores `prog` in a reused `B = 1` tile, as the search does.
+    fn score_in(ev: &Evaluator, tile: &mut BatchArena<'_>, prog: &AlphaProgram) -> Option<f64> {
+        tile.clear();
+        tile.push(prog, !crate::prune::liveness(prog).stateful);
+        ev.evaluate_batch_in(tile);
+        tile.fitness(0)
+    }
+
     #[test]
     fn arena_reuse_matches_fresh_arenas() {
-        // One arena fed a mix of candidates scores each exactly like a
-        // throwaway arena: reset() fully isolates candidates.
+        // One tile fed a mix of candidates scores each exactly like a
+        // throwaway tile: resetting the slot fully isolates candidates.
         let ev = evaluator(7);
         let progs = [
             init::domain_expert(ev.config()),
@@ -844,13 +714,12 @@ mod tests {
             init::industry_reversal(ev.config()),
             init::domain_expert(ev.config()),
         ];
-        let mut arena = ev.arena();
+        let mut tile = ev.batch_arena(1);
         for prog in &progs {
-            let shared = ev.evaluate_in(&mut arena, prog);
-            let shared_returns = arena.val_returns().to_vec();
+            let shared = score_in(&ev, &mut tile, prog);
             let fresh = ev.evaluate(prog);
             assert_eq!(shared, fresh.fitness);
-            assert_eq!(shared_returns, fresh.val_returns);
+            assert_eq!(tile.val_returns(0), &fresh.val_returns[..]);
         }
     }
 
@@ -869,14 +738,46 @@ mod tests {
             ],
             update: vec![Instruction::nop()],
         };
-        let mut arena = ev.arena();
-        assert!(ev.evaluate_in(&mut arena, &good).is_some());
-        assert!(!arena.val_returns().is_empty());
-        assert!(ev.evaluate_in(&mut arena, &bad).is_none());
+        let mut tile = ev.batch_arena(1);
+        assert!(score_in(&ev, &mut tile, &good).is_some());
+        assert!(!tile.val_returns(0).is_empty());
+        assert!(score_in(&ev, &mut tile, &bad).is_none());
         assert!(
-            arena.val_returns().is_empty(),
+            tile.val_returns(0).is_empty(),
             "stale returns must not leak into the gate"
         );
+    }
+
+    #[test]
+    fn backtest_validation_split_equals_evaluation_bits() {
+        // Backtests and evaluations share the training loop and the
+        // validation sweep: for valid programs, the backtest's validation
+        // IC and returns are the evaluation's bits.
+        let ev = evaluator(6);
+        let cfg = ev.config();
+        let stochastic = AlphaProgram {
+            setup: vec![Instruction::new(Op::SGauss, 0, 0, 4, [0.0, 1.0], [0; 2])],
+            predict: vec![
+                Instruction::new(Op::SUniform, 0, 0, 3, [-1.0, 1.0], [0; 2]),
+                Instruction::new(Op::MMean, 0, 0, 2, [0.0; 2], [0; 2]),
+                Instruction::new(Op::SMul, 2, 3, 2, [0.0; 2], [0; 2]),
+                Instruction::new(Op::SAdd, 2, 4, 1, [0.0; 2], [0; 2]),
+            ],
+            update: vec![Instruction::new(Op::SGauss, 0, 0, 4, [0.0, 0.5], [0; 2])],
+        };
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for prog in [
+            init::domain_expert(cfg),
+            init::momentum(cfg),
+            init::industry_reversal(cfg),
+            init::two_layer_nn(cfg),
+            stochastic,
+        ] {
+            let e = ev.evaluate(&prog);
+            let r = ev.backtest(&prog);
+            assert_eq!(e.fitness.map(f64::to_bits), Some(r.val.ic.to_bits()));
+            assert_eq!(bits(&e.val_returns), bits(&r.val.returns));
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The cross-sectional interpreters: columnar (production) and lockstep
-//! (bitwise reference).
+//! The cross-sectional interpreters: the columnar tile (the one execution
+//! engine) and the lockstep oracle (bitwise reference).
 //!
 //! RelationOps make an alpha's computation for one stock depend on the
 //! *same instruction's* intermediate value on every other stock at the same
@@ -7,27 +7,31 @@
 //! instruction-by-instruction across all stocks. Two engines implement
 //! that contract:
 //!
-//! * [`ColumnarInterpreter`] — the production engine. Registers live in a
-//!   stock-major [`RegisterFile`] (every register element is one
-//!   contiguous `[f64; n_stocks]` plane), and programs are first lowered
-//!   to a [`CompiledProgram`]: dead code
-//!   stripped, register offsets pre-resolved. The `Op` dispatch then runs
-//!   **once per instruction** — each local op is a tight loop over the
-//!   stock axis (auto-vectorizable), and RelationOps rank/demean the
-//!   contiguous scalar plane directly, with zero gather/scatter. The day's
-//!   input load copies only the `m0` cells the program can read
-//!   ([`CompiledProgram::input_cells`]), as contiguous runs from the shared
-//!   [`DayMajorPanel`] instead of `n_stocks` strided window gathers.
-//! * [`Interpreter`] — the lockstep reference. Non-relation instructions
+//! * [`BatchInterpreter`] — the engine behind search, evaluation,
+//!   backtests and serving: a tile of `B` slots (`B = 1` for a single
+//!   evaluation or a server). Registers live in a stock-major
+//!   [`RegisterFile`] (every register element is one contiguous
+//!   `[f64; n_stocks]` plane), and programs are first lowered to a
+//!   [`CompiledProgram`]: dead code stripped, register offsets resolved
+//!   and relocated onto a slot. The `Op` dispatch then runs **once per
+//!   instruction** — each local op is a tight loop over the stock axis
+//!   (auto-vectorizable), and RelationOps rank/demean the contiguous
+//!   scalar plane directly, with zero gather/scatter. The day's input load
+//!   copies only the `m0` cells some slot can read
+//!   ([`CompiledProgram::input_cells`]), as contiguous runs from the
+//!   shared [`DayMajorPanel`] instead of `n_stocks` strided window
+//!   gathers.
+//! * [`Interpreter`] — the lockstep oracle. Non-relation instructions
 //!   are re-dispatched per stock against that stock's [`MemoryBank`];
 //!   RelationOps gather the input scalar from every bank, apply the group
-//!   kernel ([`crate::relation`]), and scatter the results back. It is
-//!   kept as the semantics oracle: the columnar engine must match it
-//!   **bitwise** (same f64 operations in the same order per stock, same
-//!   per-stock RNG streams) — property-tested across random programs in
-//!   `crates/core/tests/properties.rs`.
+//!   kernel ([`crate::relation`]), and scatter the results back. It runs
+//!   only in tests and benches, as the semantics reference: the tile must
+//!   match it **bitwise** (same f64 operations in the same order per
+//!   stock, same per-stock RNG streams) — property-tested across random
+//!   programs in `crates/core/tests/properties.rs`.
 //!
-//! Execution schedule over a dataset (paper §2/§3), identical for both:
+//! Execution schedule over a dataset (paper §2/§3), identical for both
+//! (the tile's one training loop is `Evaluator::train_batch_in`):
 //!
 //! ```text
 //! Setup()                          once per stock (registers zeroed first)
@@ -47,28 +51,24 @@ use rand::SeedableRng;
 use alphaevolve_market::rngutil::normal;
 use alphaevolve_market::{Dataset, DayMajorPanel};
 
-use crate::compile::{CompiledInstr, CompiledProgram, Fused};
+#[cfg(doc)]
+use crate::compile::CompiledProgram;
+use crate::compile::{CompiledInstr, Fused};
 use crate::config::AlphaConfig;
-#[cfg(any(test, feature = "reference-oracle"))]
 use crate::instruction::Instruction;
 use crate::kernels::RankCache;
-#[cfg(any(test, feature = "reference-oracle"))]
 use crate::memory::MemoryBank;
 use crate::memory::{RegisterFile, INPUT, LABEL, PREDICTION};
-#[cfg(any(test, feature = "reference-oracle"))]
 use crate::op::execute_local;
 use crate::op::{uniform_in, Op};
-#[cfg(any(test, feature = "reference-oracle"))]
 use crate::program::AlphaProgram;
 use crate::relation::{demean_dense, demean_within, rank_within, GroupIndex, GroupSlices};
 
 /// Executes alpha programs over every stock of a dataset in lockstep.
 ///
-/// Reference/oracle only — gated behind the default-on `reference-oracle`
-/// cargo feature so hot binaries can compile the lockstep engine (and its
-/// per-stock [`MemoryBank`] layout) out entirely with
-/// `--no-default-features`.
-#[cfg(any(test, feature = "reference-oracle"))]
+/// The bitwise reference oracle: tests and benches run it against the
+/// tile. Nothing in the search or serving path calls it, so the linker
+/// leaves it out of those binaries.
 pub struct Interpreter<'a> {
     dataset: &'a Dataset,
     groups: &'a GroupIndex,
@@ -82,7 +82,6 @@ pub struct Interpreter<'a> {
     base_seed: u64,
 }
 
-#[cfg(any(test, feature = "reference-oracle"))]
 impl<'a> Interpreter<'a> {
     /// Creates an interpreter with zeroed banks.
     ///
@@ -229,229 +228,9 @@ impl<'a> Interpreter<'a> {
 
 fn stock_rng(seed: u64, stock: usize) -> SmallRng {
     // Distinct, deterministic stream per stock (golden-ratio stride).
-    // Shared by both engines: per-stock draws must be identical streams.
+    // Shared by the tile and the oracle: per-stock draws must be identical
+    // streams.
     SmallRng::seed_from_u64(seed ^ (stock as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Executes compiled alpha programs over every stock of a dataset with
-/// stock-major (columnar) register planes. See the module docs for how it
-/// relates to the lockstep reference [`Interpreter`].
-pub struct ColumnarInterpreter<'a> {
-    dataset: &'a Dataset,
-    panel: &'a DayMajorPanel,
-    groups: &'a GroupIndex,
-    regs: RegisterFile,
-    rngs: Vec<SmallRng>,
-    /// `dim * n_stocks` temporary for kernels whose vector output may
-    /// alias a vector input read at other element indices (`mat_vec`).
-    scratch_v: Vec<f64>,
-    /// `dim² * n_stocks` temporary for `mat_mul` / `m_transpose`.
-    scratch_m: Vec<f64>,
-    /// `n_stocks` accumulator plane for two-pass reductions (std kernels).
-    lane: Vec<f64>,
-    /// `n_stocks` RelationOp output plane. Persistent across instructions,
-    /// mirroring the lockstep scatter buffer bit-for-bit even for group
-    /// indices that do not cover every stock.
-    rel_lane: Vec<f64>,
-    rank_scratch: Vec<u32>,
-    /// One permutation row per possible rank instruction
-    /// (`max_setup_ops + max_predict_ops + max_update_ops`), addressed by
-    /// [`CompiledInstr::slot`]. Preallocated so the hot path stays
-    /// allocation-free.
-    rank_cache: RankCache,
-    base_seed: u64,
-}
-
-impl<'a> ColumnarInterpreter<'a> {
-    /// Creates a columnar interpreter with zeroed register planes.
-    ///
-    /// `panel` must be the [`DayMajorPanel`] of `dataset` (the evaluator
-    /// builds it once and shares it across workers).
-    ///
-    /// # Panics
-    /// If the dataset's feature count or window disagrees with `cfg.dim`,
-    /// the group index covers a different stock count, or `panel` does not
-    /// match the dataset's shape.
-    pub fn new(
-        cfg: &AlphaConfig,
-        dataset: &'a Dataset,
-        panel: &'a DayMajorPanel,
-        groups: &'a GroupIndex,
-        seed: u64,
-    ) -> ColumnarInterpreter<'a> {
-        assert_eq!(
-            dataset.n_features(),
-            cfg.dim,
-            "dataset features must equal cfg.dim"
-        );
-        assert_eq!(
-            dataset.window(),
-            cfg.dim,
-            "dataset window must equal cfg.dim"
-        );
-        assert_eq!(
-            groups.n_stocks(),
-            dataset.n_stocks(),
-            "group index / dataset mismatch"
-        );
-        assert!(
-            panel.n_stocks() == dataset.n_stocks()
-                && panel.n_features() == dataset.n_features()
-                && panel.n_days() == dataset.panel().n_days(),
-            "day-major panel / dataset mismatch"
-        );
-        let k = dataset.n_stocks();
-        ColumnarInterpreter {
-            dataset,
-            panel,
-            groups,
-            regs: RegisterFile::new(cfg.n_scalars, cfg.n_vectors, cfg.n_matrices, cfg.dim, k),
-            rngs: (0..k).map(|i| stock_rng(seed, i)).collect(),
-            scratch_v: vec![0.0; cfg.dim * k],
-            scratch_m: vec![0.0; cfg.dim * cfg.dim * k],
-            lane: vec![0.0; k],
-            rel_lane: vec![0.0; k],
-            rank_scratch: Vec::with_capacity(k),
-            rank_cache: RankCache::new(
-                cfg.max_setup_ops + cfg.max_predict_ops + cfg.max_update_ops,
-                k,
-            ),
-            base_seed: seed,
-        }
-    }
-
-    /// Zeroes all register planes and reseeds the per-stock RNG streams,
-    /// returning the interpreter to its freshly-constructed state.
-    pub fn reset(&mut self) {
-        self.regs.reset();
-        self.rel_lane.fill(0.0);
-        for (i, rng) in self.rngs.iter_mut().enumerate() {
-            *rng = stock_rng(self.base_seed, i);
-        }
-    }
-
-    /// Number of stocks executed per plane.
-    pub fn n_stocks(&self) -> usize {
-        self.regs.n_stocks()
-    }
-
-    /// Read access to the register planes (tests / diagnostics).
-    pub fn registers(&self) -> &RegisterFile {
-        &self.regs
-    }
-
-    /// Mutable access to the register planes. This exists for the serving
-    /// layer, which restores a program's post-training plane snapshot into
-    /// a shared interpreter before each batched predict; ordinary
-    /// evaluation never needs it.
-    pub fn registers_mut(&mut self) -> &mut RegisterFile {
-        &mut self.regs
-    }
-
-    /// Captures the per-stock RNG stream states (one xoshiro state per
-    /// stock), appending into `out` (cleared first). Pairs with
-    /// [`ColumnarInterpreter::set_rng_states`] for serving-layer
-    /// snapshot/restore of stochastic programs.
-    pub fn rng_states_into(&self, out: &mut Vec<[u64; 4]>) {
-        out.clear();
-        out.extend(self.rngs.iter().map(SmallRng::state));
-    }
-
-    /// Restores per-stock RNG streams captured by
-    /// [`ColumnarInterpreter::rng_states_into`]. Allocation-free.
-    ///
-    /// # Panics
-    /// If `states.len()` differs from the stock count.
-    pub fn set_rng_states(&mut self, states: &[[u64; 4]]) {
-        assert_eq!(states.len(), self.rngs.len(), "rng state count mismatch");
-        for (rng, &s) in self.rngs.iter_mut().zip(states) {
-            *rng = SmallRng::from_state(s);
-        }
-    }
-
-    /// Loads the day's `cells` of the input window into the `m0` planes
-    /// (see [`load_input_cells`]).
-    fn load_input(&mut self, day: usize, cells: &[bool]) {
-        let k = self.regs.n_stocks();
-        let w = self.dataset.window();
-        let m0 = &mut self.regs.m[..self.dataset.n_features() * w * k];
-        load_input_cells(m0, self.panel, day, w, k, cells);
-    }
-
-    /// Loads the day's label cross-section into the `s0` plane: one copy.
-    fn load_labels(&mut self, day: usize) {
-        self.regs
-            .s_plane_mut(LABEL)
-            .copy_from_slice(self.panel.labels_row(day));
-    }
-
-    /// Runs one compiled function body across all stocks, dispatching each
-    /// instruction exactly once.
-    pub fn run_function(&mut self, instrs: &[CompiledInstr]) {
-        run_instrs(
-            instrs,
-            &mut self.regs,
-            self.groups,
-            &mut self.rngs,
-            &mut self.scratch_v,
-            &mut self.scratch_m,
-            &mut self.lane,
-            &mut self.rel_lane,
-            &mut self.rank_scratch,
-            &mut self.rank_cache,
-            0,
-        );
-    }
-
-    /// Runs `Setup()` once for every stock.
-    pub fn run_setup(&mut self, prog: &CompiledProgram) {
-        self.run_function(&prog.setup);
-    }
-
-    /// Takes the rank cache's `(reused, resorted)` segment counts since
-    /// the last call (telemetry; `(0, 0)` without the `obs` feature).
-    pub fn take_rank_stats(&mut self) -> (u64, u64) {
-        self.rank_cache.take_rank_stats()
-    }
-
-    /// One training step: load the inputs `prog` reads
-    /// ([`CompiledProgram::input_cells`]), predict, load labels, update.
-    /// `run_update = false` skips the parameter update (the paper's `_P`
-    /// ablation of Table 4).
-    pub fn train_day(&mut self, prog: &CompiledProgram, day: usize, run_update: bool) {
-        self.load_input(day, &prog.input_cells);
-        self.run_function(&prog.predict);
-        if run_update {
-            self.load_labels(day);
-            self.run_function(&prog.update);
-        }
-    }
-
-    /// One inference step: load the inputs `prog` reads, predict, and copy
-    /// the prediction plane `s1` into `out` (must have length `n_stocks`).
-    pub fn predict_day(&mut self, prog: &CompiledProgram, day: usize, out: &mut [f64]) {
-        self.load_input(day, &prog.input_cells);
-        self.run_function(&prog.predict);
-        out.copy_from_slice(self.regs.s_plane(PREDICTION));
-    }
-
-    /// Loads the `cells` of one day's input window into `m0` without
-    /// executing anything; cells outside the mask keep their values
-    /// (debug builds write NaN into them). The serving layer calls this
-    /// once per day with the union of its programs'
-    /// [`CompiledProgram::input_cells`] and then runs *several* compiled
-    /// programs' predict bodies against the loaded window
-    /// ([`ColumnarInterpreter::run_predict`]), amortizing the feature
-    /// copies across the batch.
-    pub fn load_day(&mut self, day: usize, cells: &[bool]) {
-        self.load_input(day, cells);
-    }
-
-    /// Runs the compiled predict body against the currently-loaded input
-    /// (see [`ColumnarInterpreter::load_day`]).
-    pub fn run_predict(&mut self, prog: &CompiledProgram) {
-        self.run_function(&prog.predict);
-    }
 }
 
 /// Copies day `day`'s input window (`w` days of every feature, `k`
@@ -495,12 +274,11 @@ fn load_input_cells(
     }
 }
 
-/// Runs one compiled function body: the shared instruction walk behind
-/// both [`ColumnarInterpreter::run_function`] and
+/// Runs one compiled function body: the instruction walk behind
 /// [`BatchInterpreter::run_function_slot`]. `rngs` and `rel_lane` must be
-/// exactly `n_stocks` long (the batched engine passes one slot's
-/// sub-slices); the scratch buffers may be shared across slots because
-/// every kernel fully overwrites what it reads within one instruction.
+/// exactly `n_stocks` long (one slot's sub-slices); the scratch buffers
+/// may be shared across slots because every kernel fully overwrites what
+/// it reads within one instruction.
 #[allow(clippy::too_many_arguments)]
 fn run_instrs(
     instrs: &[CompiledInstr],
@@ -560,7 +338,9 @@ fn run_instrs(
 /// Executes a *tile* of up to `B` compiled candidates over one shared
 /// day-major sweep: each day's feature block is loaded once, then every
 /// slot's function bodies run against it before the sweep advances
-/// (program-major inner walk over a stock-major plane).
+/// (program-major inner walk over a stock-major plane). It is the one
+/// columnar engine: a single evaluation, a backtest and a server each run
+/// a `B = 1` tile.
 ///
 /// # Tile memory layout
 ///
@@ -588,8 +368,9 @@ fn run_instrs(
 /// builds); no slot reads them. A slot whose lowered program never writes
 /// `m0` ([`crate::compile::writes_m0`]) reads the shared plane directly; a
 /// clobbering slot is relocated onto its own private `m0` plane and the
-/// caller stages a copy of the shared plane into it before each of that
-/// slot's executions ([`BatchInterpreter::stage_private_m0`]). In debug
+/// caller stages a copy of the shared plane's loaded cells into it before
+/// each of that slot's executions ([`BatchInterpreter::stage_private_m0`]).
+/// In debug
 /// builds a shadow copy verifies no slot ever mutates the shared plane.
 ///
 /// # RNG-stream contract
@@ -597,10 +378,10 @@ fn run_instrs(
 /// Slot `b` owns `K` private RNG streams seeded exactly like a dedicated
 /// sequential interpreter's (`stock_rng(seed, stock)`) — slot index does
 /// **not** enter the seed. Resetting a slot reseeds only that slot's
-/// streams. This is what makes batched evaluation bit-identical to
-/// sequential [`ColumnarInterpreter`] runs for stochastic programs: each
-/// candidate sees the same per-stock draw sequence it would have seen
-/// alone. The per-slot `rel_lane` planes are likewise private because the
+/// streams. This is what makes a slot of a wide tile bit-identical to the
+/// same candidate alone in a `B = 1` tile (and to the lockstep oracle) for
+/// stochastic programs: each candidate sees the same per-stock draw
+/// sequence wherever it sits. The per-slot `rel_lane` planes are likewise private because the
 /// lockstep scatter buffer they mirror persists *across* instructions.
 ///
 /// Scratch buffers (`scratch_v`, `scratch_m`, `lane`, `rank_scratch`) are
@@ -614,11 +395,17 @@ pub struct BatchInterpreter<'a> {
     /// `batch · n_stocks` streams, slot-major: slot b's stock-i stream at
     /// `b·K + i`, seeded `stock_rng(seed, i)`.
     rngs: Vec<SmallRng>,
+    /// `dim · n_stocks` temporary for kernels whose vector output may
+    /// alias a vector input read at other element indices (`mat_vec`).
     scratch_v: Vec<f64>,
+    /// `dim² · n_stocks` temporary for `mat_mul` / `m_transpose`.
     scratch_m: Vec<f64>,
+    /// `n_stocks` accumulator plane for two-pass reductions (std kernels).
     lane: Vec<f64>,
-    /// `batch · n_stocks` slot-major RelationOp output planes (persistent
-    /// per slot across instructions, like the sequential `rel_lane`).
+    /// `batch · n_stocks` slot-major RelationOp output planes, persistent
+    /// per slot across instructions: they mirror the lockstep scatter
+    /// buffer bit for bit even for group indices that do not cover every
+    /// stock.
     rel_lanes: Vec<f64>,
     rank_scratch: Vec<u32>,
     /// `batch · max_slots` permutation rows: each tile slot owns a private
@@ -644,9 +431,13 @@ pub struct BatchInterpreter<'a> {
 impl<'a> BatchInterpreter<'a> {
     /// Creates a batched interpreter with `batch` zeroed register slots.
     ///
+    /// `panel` must be the [`DayMajorPanel`] of `dataset` (the evaluator
+    /// builds it once and shares it across workers).
+    ///
     /// # Panics
-    /// Same shape checks as [`ColumnarInterpreter::new`], plus
-    /// `batch >= 1`.
+    /// If `batch` is 0, the dataset's feature count or window disagrees
+    /// with `cfg.dim`, the group index covers a different stock count, or
+    /// `panel` does not match the dataset's shape.
     pub fn new(
         cfg: &AlphaConfig,
         dataset: &'a Dataset,
@@ -716,11 +507,6 @@ impl<'a> BatchInterpreter<'a> {
         self.regs.n_stocks()
     }
 
-    /// Number of tile slots.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
     #[inline]
     fn d2k(&self) -> usize {
         let d = self.regs.dim();
@@ -728,9 +514,9 @@ impl<'a> BatchInterpreter<'a> {
     }
 
     /// Zeroes the `cells` of the shared `m0` input plane (the tile's
-    /// union of [`CompiledProgram::input_cells`]). Sequential evaluation
-    /// starts from a fully-zeroed register file, so a `Setup()` body that
-    /// *reads* `m0` must see zeros — without this, the previous tile's
+    /// union of [`CompiledProgram::input_cells`]). An evaluation starts
+    /// from a fully-zeroed register file, so a `Setup()` body that *reads*
+    /// `m0` must see zeros — without this, the previous tile's
     /// last-loaded day would leak into setup and break bit-identity. Cells
     /// outside the mask are never read; debug builds set them to NaN, as
     /// [`BatchInterpreter::load_day`] does.
@@ -826,15 +612,33 @@ impl<'a> BatchInterpreter<'a> {
         }
     }
 
-    /// Copies the shared `m0` plane into slot `b`'s private `m0` plane.
-    /// Required before each execution of a slot whose program writes `m0`
-    /// (relocated with `share_m0 = false`); the feature plane fills the
-    /// whole d²·K region, so this is one contiguous copy.
-    pub fn stage_private_m0(&mut self, b: usize) {
+    /// Copies the `cells` of the shared `m0` plane (the mask
+    /// [`BatchInterpreter::load_day`] loaded) into slot `b`'s private `m0`
+    /// plane. Required before each execution of a slot whose program
+    /// writes `m0` (relocated with `share_m0 = false`). A full mask is one
+    /// contiguous copy; cells outside the mask are not read, and debug
+    /// builds write NaN into them, as the load does.
+    pub fn stage_private_m0(&mut self, b: usize, cells: &[bool]) {
+        let k = self.regs.n_stocks();
         let d2k = self.d2k();
         let base = (1 + b * self.n_matrices) * d2k;
         let (shared, rest) = self.regs.m.split_at_mut(d2k);
-        rest[base - d2k..base].copy_from_slice(shared);
+        let private = &mut rest[base - d2k..base];
+        if cells.iter().all(|&c| c) {
+            private.copy_from_slice(shared);
+            return;
+        }
+        for ((dst, src), &marked) in private
+            .chunks_exact_mut(k)
+            .zip(shared.chunks_exact(k))
+            .zip(cells)
+        {
+            if marked {
+                dst.copy_from_slice(src);
+            } else if cfg!(debug_assertions) {
+                dst.fill(f64::NAN);
+            }
+        }
     }
 
     /// Loads the day's label cross-section into slot `b`'s `s0` plane.
@@ -890,11 +694,39 @@ impl<'a> BatchInterpreter<'a> {
     }
 
     /// Captures slot `b`'s per-stock RNG stream states, appending into
-    /// `out` (cleared first). Test hook for the RNG-stream contract.
+    /// `out` (cleared first): the RNG-stream contract's test hook, and the
+    /// post-training snapshot a server restores before a stochastic
+    /// predict ([`BatchInterpreter::set_rng_states_slot`]).
     pub fn rng_states_into_slot(&self, b: usize, out: &mut Vec<[u64; 4]>) {
         let k = self.regs.n_stocks();
         out.clear();
         out.extend(self.rngs[b * k..(b + 1) * k].iter().map(SmallRng::state));
+    }
+
+    /// Restores slot `b`'s per-stock RNG streams captured by
+    /// [`BatchInterpreter::rng_states_into_slot`]. Allocation-free.
+    ///
+    /// # Panics
+    /// If `states.len()` differs from the stock count.
+    pub fn set_rng_states_slot(&mut self, b: usize, states: &[[u64; 4]]) {
+        let k = self.regs.n_stocks();
+        assert_eq!(states.len(), k, "rng state count mismatch");
+        for (rng, &s) in self.rngs[b * k..(b + 1) * k].iter_mut().zip(states) {
+            *rng = SmallRng::from_state(s);
+        }
+    }
+
+    /// The tile's register file (slot-major, see the type docs): a
+    /// server reads a trained slot's planes from it.
+    pub fn registers(&self) -> &RegisterFile {
+        &self.regs
+    }
+
+    /// Mutable access to the register file. The serving layer restores a
+    /// program's trained planes through it before each predict; the
+    /// evaluator never needs it.
+    pub fn registers_mut(&mut self) -> &mut RegisterFile {
+        &mut self.regs
     }
 }
 
@@ -1452,8 +1284,68 @@ fn population_std_planes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::{compile, relocate_for_slot, writes_m0, CompiledProgram};
     use crate::op::Op;
     use alphaevolve_market::{features::FeatureSet, generator::MarketConfig, SplitSpec};
+
+    /// One program on slot 0 of a `B = 1` tile, driven day by day through
+    /// the schedule the evaluator's training loop runs.
+    struct Solo<'a> {
+        tile: BatchInterpreter<'a>,
+        prog: CompiledProgram,
+        share_m0: bool,
+    }
+
+    impl<'a> Solo<'a> {
+        /// Compiles `prog` onto slot 0 and runs its `Setup()`.
+        fn new(
+            ds: &'a Dataset,
+            panel: &'a DayMajorPanel,
+            groups: &'a GroupIndex,
+            seed: u64,
+            prog: &AlphaProgram,
+        ) -> Solo<'a> {
+            let cfg = cfg();
+            let mut compiled = compile(prog, &cfg, ds.n_stocks());
+            let share_m0 = !writes_m0(&compiled);
+            relocate_for_slot(&mut compiled, &cfg, ds.n_stocks(), 0, share_m0);
+            let mut solo = Solo {
+                tile: BatchInterpreter::new(&cfg, ds, panel, groups, seed, 1),
+                prog: compiled,
+                share_m0,
+            };
+            solo.reset();
+            solo
+        }
+
+        /// Back to the freshly set-up state: zeroed slot, reseeded
+        /// streams, `Setup()` run again.
+        fn reset(&mut self) {
+            self.tile.reset_shared_input(&self.prog.input_cells);
+            self.tile.reset_slot(0);
+            self.tile.run_function_slot(0, &self.prog.setup);
+        }
+
+        fn load(&mut self, day: usize) {
+            self.tile.load_day(day, &self.prog.input_cells);
+            if !self.share_m0 {
+                self.tile.stage_private_m0(0, &self.prog.input_cells);
+            }
+        }
+
+        fn train_day(&mut self, day: usize) {
+            self.load(day);
+            self.tile.run_function_slot(0, &self.prog.predict);
+            self.tile.load_labels_slot(0, day);
+            self.tile.run_function_slot(0, &self.prog.update);
+        }
+
+        fn predict_day(&mut self, day: usize, out: &mut [f64]) {
+            self.load(day);
+            self.tile.run_function_slot(0, &self.prog.predict);
+            self.tile.read_predictions_slot(0, out);
+        }
+    }
 
     fn tiny_dataset() -> Dataset {
         let md = MarketConfig {
@@ -1591,27 +1483,25 @@ mod tests {
         assert_eq!(a, b, "reset + rerun must reproduce the stochastic stream");
     }
 
-    /// Runs `prog` through both engines over `n_days` training days and
-    /// `n_days` prediction days, asserting bitwise-equal predictions.
+    /// Runs `prog` through the tile and the oracle over `n_days` training
+    /// days and `n_days` prediction days, asserting bitwise-equal
+    /// predictions.
     fn assert_engines_match(prog: &AlphaProgram, seed: u64, n_days: usize) {
         let ds = tiny_dataset();
         let groups = GroupIndex::from_universe(ds.universe());
         let panel = DayMajorPanel::from_panel(ds.panel());
-        let cfg = cfg();
-        let compiled = crate::compile::compile(prog, &cfg, ds.n_stocks());
-        let mut lock = Interpreter::new(&cfg, &ds, &groups, seed);
-        let mut col = ColumnarInterpreter::new(&cfg, &ds, &panel, &groups, seed);
+        let mut lock = Interpreter::new(&cfg(), &ds, &groups, seed);
+        let mut col = Solo::new(&ds, &panel, &groups, seed, prog);
         lock.run_setup(prog);
-        col.run_setup(&compiled);
         let k = ds.n_stocks();
         let (mut a, mut b) = (vec![0.0; k], vec![0.0; k]);
         for day in ds.train_days().take(n_days) {
             lock.train_day(prog, day, true);
-            col.train_day(&compiled, day, true);
+            col.train_day(day);
         }
         for day in ds.valid_days().take(n_days) {
             lock.predict_day(prog, day, &mut a);
-            col.predict_day(&compiled, day, &mut b);
+            col.predict_day(day, &mut b);
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(
                     x.to_bits(),
@@ -1707,19 +1597,16 @@ mod tests {
         let ds = tiny_dataset();
         let groups = GroupIndex::from_universe(ds.universe());
         let panel = DayMajorPanel::from_panel(ds.panel());
-        let cfg = cfg();
         let prog = AlphaProgram {
             setup: vec![Instruction::new(Op::SConst, 0, 0, 2, [1.0, 0.0], [0; 2])],
             predict: vec![instr(Op::SAdd, 1, 2, 1)],
             update: vec![Instruction::nop()],
         };
-        let compiled = crate::compile::compile(&prog, &cfg, ds.n_stocks());
-        let mut interp = ColumnarInterpreter::new(&cfg, &ds, &panel, &groups, 0);
-        interp.run_setup(&compiled);
+        let mut interp = Solo::new(&ds, &panel, &groups, 0, &prog);
         let mut out = vec![0.0; ds.n_stocks()];
         let start = ds.train_days().start;
         for (n, day) in (start..start + 5).enumerate() {
-            interp.predict_day(&compiled, day, &mut out);
+            interp.predict_day(day, &mut out);
             assert_eq!(out[0], (n + 1) as f64);
         }
     }
@@ -1729,22 +1616,18 @@ mod tests {
         let ds = tiny_dataset();
         let groups = GroupIndex::from_universe(ds.universe());
         let panel = DayMajorPanel::from_panel(ds.panel());
-        let cfg = cfg();
         let prog = AlphaProgram {
             setup: vec![Instruction::new(Op::SGauss, 0, 0, 2, [0.0, 1.0], [0; 2])],
             predict: vec![instr(Op::MMean, 0, 0, 3), instr(Op::SMul, 3, 2, 1)],
             update: vec![Instruction::nop()],
         };
-        let compiled = crate::compile::compile(&prog, &cfg, ds.n_stocks());
-        let mut interp = ColumnarInterpreter::new(&cfg, &ds, &panel, &groups, 42);
+        let mut interp = Solo::new(&ds, &panel, &groups, 42, &prog);
         let day = ds.train_days().start;
         let mut a = vec![0.0; ds.n_stocks()];
-        interp.run_setup(&compiled);
-        interp.predict_day(&compiled, day, &mut a);
+        interp.predict_day(day, &mut a);
         interp.reset();
         let mut b = vec![0.0; ds.n_stocks()];
-        interp.run_setup(&compiled);
-        interp.predict_day(&compiled, day, &mut b);
+        interp.predict_day(day, &mut b);
         assert_eq!(a, b, "reset + rerun must reproduce the stochastic stream");
     }
 

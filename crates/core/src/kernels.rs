@@ -1,9 +1,8 @@
 //! Vectorization-friendly math kernels for the columnar hot path.
 //!
 //! Three families live here, all shared by **every** execution engine —
-//! the columnar interpreter, the batched tile, the lockstep
-//! `reference-oracle`, and the abstract interpreter's constant folder —
-//! so that bitwise parity between engines is automatic:
+//! the columnar tile, the lockstep oracle, and the abstract interpreter's
+//! constant folder — so that bitwise parity between engines is automatic:
 //!
 //! 1. **Polynomial transcendentals** ([`sin`], [`cos`], [`tan`], [`asin`],
 //!    [`acos`], [`atan`], [`exp`], [`ln`]): classic
@@ -64,9 +63,9 @@
 //! These kernels intentionally do **not** reproduce the host libm bit
 //! patterns — they replace them. What is contractual:
 //!
-//! * columnar, batched, and lockstep `reference-oracle` execution call
-//!   the *same* kernel functions in the same per-stock order, so the
-//!   three engines stay bit-identical to each other;
+//! * the columnar tile and the lockstep oracle call the *same* kernel
+//!   functions in the same per-stock order, so the two engines stay
+//!   bit-identical to each other;
 //! * the abstract interpreter's constant folder
 //!   ([`crate::absint`]) folds through the same kernels, so
 //!   canonicalization-time arithmetic equals run-time arithmetic;

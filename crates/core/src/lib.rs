@@ -9,9 +9,10 @@
 //!   components ([`program`], [`op`], [`instruction`], [`memory`]);
 //! * two **cross-sectional interpreters** executing an alpha on all stocks
 //!   simultaneously so RelationOps can rank/demean across tasks: the
-//!   columnar stock-major production engine with its compile-then-execute
-//!   pipeline, and the lockstep bitwise reference ([`interp`], [`compile`](mod@compile),
-//!   [`memory`], [`relation`]);
+//!   columnar stock-major tile with its compile-then-execute pipeline,
+//!   the one engine behind search, backtests and serving, and the lockstep
+//!   bitwise oracle ([`interp`], [`compile`](mod@compile), [`memory`],
+//!   [`relation`]);
 //! * the paper's **search optimizations**: redundancy pruning, redundant-
 //!   alpha rejection and evaluation-free fingerprinting with a fitness
 //!   cache ([`prune`](mod@prune), [`fingerprint`](mod@fingerprint));
@@ -67,13 +68,14 @@ pub use absint::{ProgramFacts, StaticVerdict};
 pub use analysis::{analyze, AlphaAnalysis};
 pub use canon::{canonical_program, CanonOutcome};
 pub use compile::{
-    classify_predict_planes, compile, compile_into, relocate_for_slot, rewrite_operands, writes_m0,
-    writes_m0_in, CompileScratch, CompiledInstr, CompiledProgram, PlaneClass, PredictPlane,
+    classify_predict_planes, compile, compile_into, relocate_for_slot, rewrite_operands,
+    slot_offsets, writes_m0, writes_m0_in, CompileScratch, CompiledInstr, CompiledProgram,
+    PlaneClass, PredictPlane,
 };
 pub use config::AlphaConfig;
 pub use eval::{
-    labels_cross_sections, BacktestReport, BatchArena, EvalArena, EvalOptions, Evaluation,
-    Evaluator, SplitMetrics,
+    labels_cross_sections, BacktestReport, BatchArena, EvalOptions, Evaluation, Evaluator,
+    SplitMetrics,
 };
 pub use evolution::{
     BestAlpha, Budget, Evolution, EvolutionCheckpoint, EvolutionConfig, EvolutionOutcome,
@@ -81,12 +83,8 @@ pub use evolution::{
 };
 pub use fingerprint::{fingerprint, fingerprint_analyzed, Analyzed};
 pub use instruction::Instruction;
-#[cfg(any(test, feature = "reference-oracle"))]
-pub use interp::Interpreter;
-pub use interp::{BatchInterpreter, ColumnarInterpreter};
-#[cfg(any(test, feature = "reference-oracle"))]
-pub use memory::MemoryBank;
-pub use memory::RegisterFile;
+pub use interp::{BatchInterpreter, Interpreter};
+pub use memory::{MemoryBank, RegisterFile};
 pub use mutation::{MutationConfig, Mutator};
 pub use op::{Kind, Op};
 pub use program::{AlphaProgram, FunctionId};

@@ -18,8 +18,8 @@
 //!   contiguous plane of `n_stocks` values (`s[reg]` is one
 //!   `[f64; n_stocks]` slice; vector registers are `[reg][elem][stock]`
 //!   planes, matrices `[reg][row][col][stock]`). This is the layout of the
-//!   columnar interpreter
-//!   ([`ColumnarInterpreter`](crate::interp::ColumnarInterpreter)): each
+//!   columnar tile
+//!   ([`BatchInterpreter`](crate::interp::BatchInterpreter)): each
 //!   instruction becomes one tight loop over the stock axis
 //!   (auto-vectorizable, dispatch hoisted out), and the cross-sectional
 //!   RelationOps read/write scalar planes directly with zero
@@ -29,11 +29,11 @@
 //! performs the same f64 operations in the same order (property-tested in
 //! `crates/core/tests/properties.rs`).
 //!
-//! A `RegisterFile` also serves as a **batched tile**: constructed with
-//! `B×` the per-candidate register counts, it holds B candidates'
-//! register planes side by side (slot-major, with one extra matrix slot
-//! for the tile-shared `m0` feature plane) so a single day-major sweep
-//! can score B programs per feature-block load. The tile layout, offset
+//! The tile's `RegisterFile` is constructed with `B×` the per-candidate
+//! register counts: it holds B candidates' register planes side by side
+//! (slot-major, with one extra matrix slot for the tile-shared `m0`
+//! feature plane) so a single day-major sweep can score B programs per
+//! feature-block load. The tile layout, offset
 //! relocation, and per-slot RNG contract are documented on
 //! [`BatchInterpreter`](crate::interp::BatchInterpreter) and
 //! [`relocate_for_slot`](crate::compile::relocate_for_slot).
@@ -48,11 +48,8 @@ pub const INPUT: usize = 0;
 /// One stock's registers: `s` scalars, `v` vectors (length `dim`,
 /// contiguous), `m` matrices (`dim × dim`, row-major, contiguous).
 ///
-/// Lockstep-reference layout only — compiled out (together with the
-/// reference `Interpreter`) when the default `reference-oracle` feature
-/// is disabled.
+/// The lockstep oracle's layout only.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg(any(test, feature = "reference-oracle"))]
 pub struct MemoryBank {
     /// Scalar registers.
     pub s: Vec<f64>,
@@ -63,7 +60,6 @@ pub struct MemoryBank {
     dim: usize,
 }
 
-#[cfg(any(test, feature = "reference-oracle"))]
 impl MemoryBank {
     /// All-zero bank for the given configuration.
     pub fn new(n_scalars: usize, n_vectors: usize, n_matrices: usize, dim: usize) -> MemoryBank {
@@ -180,20 +176,6 @@ impl RegisterFile {
     #[inline]
     pub fn s_plane_mut(&mut self, r: usize) -> &mut [f64] {
         &mut self.s[r * self.n_stocks..(r + 1) * self.n_stocks]
-    }
-
-    /// Read-only storage of vector register `r`: `dim` planes, stock-major.
-    #[inline]
-    pub fn v_reg(&self, r: usize) -> &[f64] {
-        let n = self.dim * self.n_stocks;
-        &self.v[r * n..(r + 1) * n]
-    }
-
-    /// Read-only storage of matrix register `r`: `dim²` planes, stock-major.
-    #[inline]
-    pub fn m_reg(&self, r: usize) -> &[f64] {
-        let n = self.dim * self.dim * self.n_stocks;
-        &self.m[r * n..(r + 1) * n]
     }
 
     /// The whole scalar buffer (`[reg][stock]` contiguous). Offsets follow

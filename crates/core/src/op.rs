@@ -26,11 +26,8 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-#[cfg(any(test, feature = "reference-oracle"))]
 use crate::instruction::Instruction;
-#[cfg(any(test, feature = "reference-oracle"))]
 use crate::memory::MemoryBank;
-#[cfg(any(test, feature = "reference-oracle"))]
 use alphaevolve_market::rngutil::normal;
 
 /// Operand kind: scalar, vector or matrix.
@@ -327,17 +324,14 @@ impl Op {
 /// zero-filled plane). The standard float `Sum` starts from `-0.0`, so a
 /// sum whose every term is `-0.0` would come out `-0.0` here but `0.0`
 /// there.
-#[cfg(any(test, feature = "reference-oracle"))]
 trait SumFromZero: Iterator<Item = f64> + Sized {
     fn sum_from_zero(self) -> f64 {
         self.fold(0.0, |s, x| s + x)
     }
 }
 
-#[cfg(any(test, feature = "reference-oracle"))]
 impl<I: Iterator<Item = f64>> SumFromZero for I {}
 
-#[cfg(any(test, feature = "reference-oracle"))]
 fn population_std(xs: &[f64]) -> f64 {
     let n = xs.len() as f64;
     let mean = xs.iter().copied().sum_from_zero() / n;
@@ -360,12 +354,10 @@ pub(crate) fn uniform_in(rng: &mut SmallRng, lo: f64, hi: f64) -> f64 {
 /// `scratch_v`/`scratch_m` must be at least `dim` / `dim²` long; they are
 /// used whenever the output register could alias an input register.
 ///
-/// Lockstep-reference kernel only — compiled out when the default
-/// `reference-oracle` feature is disabled.
+/// The lockstep oracle's kernel only.
 ///
 /// # Panics
 /// Debug-panics on relation ops — those are handled by the interpreter.
-#[cfg(any(test, feature = "reference-oracle"))]
 pub fn execute_local(
     instr: &Instruction,
     mem: &mut MemoryBank,

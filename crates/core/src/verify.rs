@@ -6,7 +6,7 @@
 //! corrupt frame can carry an in-range op code with an out-of-range
 //! register, a non-finite literal, or a relation op in `setup`. None of
 //! those are caught by framing/CRC checks, and all of them reach
-//! `compile`/`ColumnarInterpreter` as out-of-bounds slice math or
+//! `compile`/`BatchInterpreter` as out-of-bounds slice math or
 //! undefined scheduling. The verifier closes that hole with two layers:
 //!
 //! * **Errors** — structural violations against an [`AlphaConfig`]

@@ -1,8 +1,10 @@
-//! Bitwise batched-vs-sequential evaluation battery.
+//! Bitwise wide-tile-vs-`B = 1` evaluation battery.
 //!
-//! The batched tile path (`Evaluator::evaluate_batch_in`) promises strict
-//! bit-identity with sequential `evaluate_prepared_in` for every slot:
-//! fitness bits, validation-return bits, and per-stock RNG stream states.
+//! The tile path (`Evaluator::evaluate_batch_in`) promises that a
+//! candidate's bits do not depend on its tile: every slot of a wide tile
+//! has the fitness bits, validation-return bits, and per-stock RNG stream
+//! states of the same candidate alone in a fresh `B = 1` tile (the
+//! sequential reference below, which `evaluate` and backtests run).
 //! These tests pin that contract over the seed programs, hand-built
 //! clobber/invalid/stochastic candidates, tile reuse, partial tiles, and a
 //! proptest sweep over random batch sizes × random candidate mixes.
@@ -89,18 +91,20 @@ fn random_program(seed: u64, ns: usize, np: usize, nu: usize) -> AlphaProgram {
     init::random_alpha(&cfg, &mut rng, ns.max(1), np.max(1), nu.max(1))
 }
 
-/// Sequential reference for one candidate: (fitness, returns, rng states).
+/// Sequential reference for one candidate, alone in a fresh `B = 1`
+/// tile: (fitness, returns, rng states).
 fn sequential(
     ev: &Evaluator,
     prog: &AlphaProgram,
     skip_training: bool,
 ) -> (Option<f64>, Vec<f64>, Vec<[u64; 4]>) {
-    let mut arena = ev.arena();
-    let fitness = ev.evaluate_prepared_in(&mut arena, prog, skip_training);
-    let returns = arena.val_returns().to_vec();
+    let mut solo = ev.batch_arena(1);
+    solo.push(prog, skip_training);
+    ev.evaluate_batch_in(&mut solo);
+    let returns = solo.val_returns(0).to_vec();
     let mut states = Vec::new();
-    arena.rng_states_into(&mut states);
-    (fitness, returns, states)
+    solo.rng_states_into(0, &mut states);
+    (solo.fitness(0), returns, states)
 }
 
 /// Asserts every slot of a freshly-evaluated tile bitwise-matches its
@@ -255,8 +259,8 @@ fn load_day_bytes_count_only_the_cells_the_tile_reads() {
 
 /// The op-mix counter counts each lowered instruction once per day its
 /// body ran: one NN seed evaluation runs the fused `W1 += v8 ⊗ x` pass on
-/// every training day, and no separate `v_outer` or `m_add`. Both
-/// evaluation paths count the same.
+/// every training day, and no separate `v_outer` or `m_add`. A `B = 1`
+/// tile and a partly filled wider tile count the same.
 #[cfg(feature = "obs")]
 #[test]
 fn op_executions_count_the_fused_rank_1_pass() {
@@ -266,13 +270,14 @@ fn op_executions_count_the_fused_rank_1_pass() {
     let train = ev.dataset().train_days().len() as u64;
     let valid = ev.dataset().valid_days().len() as u64;
 
-    let mut tile = ev.batch_arena(1);
-    tile.push(&nn, false);
-    ev.evaluate_batch_in(&mut tile);
-    assert!(tile.fitness(0).is_some());
-    let mut arena = ev.arena();
-    assert!(ev.evaluate_prepared_in(&mut arena, &nn, false).is_some());
-    for spans in [tile.drain_telemetry(), arena.drain_telemetry()] {
+    let mut solo = ev.batch_arena(1);
+    let mut wide = ev.batch_arena(3);
+    for tile in [&mut solo, &mut wide] {
+        tile.push(&nn, false);
+        ev.evaluate_batch_in(tile);
+        assert!(tile.fitness(0).is_some());
+    }
+    for spans in [solo.drain_telemetry(), wide.drain_telemetry()] {
         let telemetry = SearchTelemetry::new();
         telemetry.absorb_eval(&spans);
         let mut snap = alphaevolve_obs::MetricsSnapshot::new();

@@ -8,8 +8,8 @@
 //! subnormals, and both zeros.
 //!
 //! The parity properties then check the actual contract the engines rely
-//! on: columnar, batched, and lockstep `reference-oracle` execution of
-//! programs *dense* in transcendental and rank ops produce identical bits.
+//! on: a `B = 1` tile, a wider tile, and the lockstep oracle produce
+//! identical bits on programs *dense* in transcendental and rank ops.
 
 use std::sync::Arc;
 
@@ -19,12 +19,14 @@ use rand::SeedableRng;
 
 use alphaevolve_core::kernels;
 use alphaevolve_core::{
-    compile, liveness, AlphaConfig, AlphaProgram, ColumnarInterpreter, EvalOptions, Evaluator,
-    FunctionId, GroupIndex, Instruction, Op,
+    liveness, AlphaConfig, AlphaProgram, EvalOptions, Evaluator, FunctionId, GroupIndex,
+    Instruction, Op,
 };
 use alphaevolve_market::{
     features::FeatureSet, generator::MarketConfig, Dataset, DayMajorPanel, SplitSpec,
 };
+
+mod common;
 
 /// ULP distance through the monotone bit mapping; NaN≡NaN, NaN≢number.
 fn ulps(a: f64, b: f64) -> u64 {
@@ -239,11 +241,10 @@ fn fixture() -> &'static (Dataset, GroupIndex, DayMajorPanel) {
     })
 }
 
-#[cfg(feature = "reference-oracle")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Columnar vs lockstep over transcendental-dense programs: identical
+    /// Tile vs lockstep over transcendental-dense programs: identical
     /// prediction bits on every day. This is the sharpest probe of the
     /// shared-kernel contract — any divergence between the plane kernels
     /// and the scalar kernels shows up here.
@@ -258,20 +259,18 @@ proptest! {
         let cfg = AlphaConfig::default();
         let (ds, groups, panel) = fixture();
         let prog = transcendental_dense_program(seed, 3, np, nu);
-        let compiled = compile(&prog, &cfg, ds.n_stocks());
         let mut lock = Interpreter::new(&cfg, ds, groups, interp_seed);
-        let mut col = ColumnarInterpreter::new(&cfg, ds, panel, groups, interp_seed);
+        let mut col = common::Solo::new(&cfg, ds, panel, groups, interp_seed, &prog);
         lock.run_setup(&prog);
-        col.run_setup(&compiled);
         let k = ds.n_stocks();
         let (mut a, mut b) = (vec![0.0; k], vec![0.0; k]);
         for day in ds.train_days().take(6) {
             lock.train_day(&prog, day, true);
-            col.train_day(&compiled, day, true);
+            col.train_day(day, true);
         }
         for day in ds.valid_days().take(6) {
             lock.predict_day(&prog, day, &mut a);
-            col.predict_day(&compiled, day, &mut b);
+            col.predict_day(day, &mut b);
             for (s, (x, y)) in a.iter().zip(&b).enumerate() {
                 prop_assert_eq!(
                     x.to_bits(), y.to_bits(),
@@ -285,10 +284,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Batched-tile vs sequential-columnar over tiles of transcendental-
-    /// dense candidates: fitness and validation-return bits match per slot.
+    /// Wide tile vs `B = 1` tiles over tiles of transcendental-dense
+    /// candidates: fitness and validation-return bits match per slot.
     /// With the lockstep property above this closes the three-way
-    /// columnar = batched = reference-oracle loop.
+    /// `B = 1` tile = wide tile = lockstep oracle loop.
     #[test]
     fn transcendental_dense_batched_matches_sequential(
         seed in any::<u64>(),
@@ -317,18 +316,20 @@ proptest! {
             tile.push(p, !liveness(p).stateful);
         }
         ev.evaluate_batch_in(&mut tile);
+        let mut solo = ev.batch_arena(1);
         for (slot, p) in progs.iter().enumerate() {
-            let mut arena = ev.arena();
-            let seq = ev.evaluate_prepared_in(&mut arena, p, !liveness(p).stateful);
+            solo.clear();
+            solo.push(p, !liveness(p).stateful);
+            ev.evaluate_batch_in(&mut solo);
             prop_assert_eq!(
                 tile.fitness(slot).map(f64::to_bits),
-                seq.map(f64::to_bits),
+                solo.fitness(0).map(f64::to_bits),
                 "slot {}: fitness bits diverged", slot
             );
             for (i, (a, b)) in tile
                 .val_returns(slot)
                 .iter()
-                .zip(arena.val_returns())
+                .zip(solo.val_returns(0))
                 .enumerate()
             {
                 prop_assert_eq!(

@@ -15,12 +15,14 @@ use alphaevolve_backtest::CrossSections;
 use alphaevolve_core::fingerprint::{fingerprint, fingerprint_raw};
 use alphaevolve_core::memory::{INPUT, PREDICTION};
 use alphaevolve_core::{
-    canonicalize, compile, init, liveness, prune, AlphaConfig, AlphaProgram, ColumnarInterpreter,
-    EvalOptions, Evaluator, FunctionId, GroupIndex, Instruction, Kind, MutationConfig, Mutator, Op,
+    canonicalize, compile, init, liveness, prune, AlphaConfig, AlphaProgram, EvalOptions,
+    Evaluator, FunctionId, GroupIndex, Instruction, Kind, MutationConfig, Mutator, Op,
 };
 use alphaevolve_market::{
     features::FeatureSet, generator::MarketConfig, Dataset, DayMajorPanel, SplitSpec,
 };
+
+mod common;
 
 fn tiny_evaluator() -> Evaluator {
     let market = MarketConfig {
@@ -299,21 +301,20 @@ fn equivalence_fixture() -> &'static (Dataset, GroupIndex, DayMajorPanel) {
     })
 }
 
-/// Properties that drive the lockstep reference engine — compiled only
-/// when the (default-on) `reference-oracle` feature provides it.
-#[cfg(feature = "reference-oracle")]
+/// Properties that drive the lockstep reference engine.
 mod lockstep_oracle {
     use super::*;
     use alphaevolve_core::Interpreter;
+    use common::Solo;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The columnar interpreter is a bitwise drop-in for the lockstep
+        /// The columnar tile is a bitwise drop-in for the lockstep
         /// reference: over random programs spanning the full op set (relation
         /// ops, RNG ops, extraction, and the non-finite values that unguarded
-        /// arithmetic produces), both engines emit identical prediction bits
-        /// on every day of a train + predict schedule.
+        /// arithmetic produces), a `B = 1` tile and the oracle emit identical
+        /// prediction bits on every day of a train + predict schedule.
         #[test]
         fn columnar_interpreter_matches_lockstep_bitwise(
             seed in any::<u64>(),
@@ -325,20 +326,18 @@ mod lockstep_oracle {
             let cfg = AlphaConfig::default();
             let (ds, groups, panel) = equivalence_fixture();
             let prog = random_program(seed, ns, np, nu);
-            let compiled = compile(&prog, &cfg, ds.n_stocks());
             let mut lock = Interpreter::new(&cfg, ds, groups, interp_seed);
-            let mut col = ColumnarInterpreter::new(&cfg, ds, panel, groups, interp_seed);
+            let mut col = Solo::new(&cfg, ds, panel, groups, interp_seed, &prog);
             lock.run_setup(&prog);
-            col.run_setup(&compiled);
             let k = ds.n_stocks();
             let (mut a, mut b) = (vec![0.0; k], vec![0.0; k]);
             for day in ds.train_days().take(4) {
                 lock.train_day(&prog, day, true);
-                col.train_day(&compiled, day, true);
+                col.train_day(day, true);
             }
             for day in ds.valid_days().take(4) {
                 lock.predict_day(&prog, day, &mut a);
-                col.predict_day(&compiled, day, &mut b);
+                col.predict_day(day, &mut b);
                 for (s, (x, y)) in a.iter().zip(&b).enumerate() {
                     prop_assert_eq!(
                         x.to_bits(),
@@ -354,9 +353,9 @@ mod lockstep_oracle {
     proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Evaluating through the production pipeline (compile + columnar
-    /// execution inside the arena) agrees with driving the lockstep
-    /// reference by hand over the same schedule.
+    /// Evaluating through the production pipeline (compile + a `B = 1`
+    /// tile) agrees with driving the lockstep reference by hand over the
+    /// same schedule.
     #[test]
     fn evaluator_pipeline_matches_lockstep_reference(
         seed in any::<u64>(),
@@ -392,7 +391,7 @@ mod lockstep_oracle {
     }
 
     /// The lockstep reference for one candidate, scored exactly like
-    /// `Evaluator::evaluate_prepared_in`: setup, the training sweep unless
+    /// `Evaluator::evaluate_batch_in`: setup, the training sweep unless
     /// `skip_training`, then the validation sweep aborting at the first
     /// non-finite day. Returns `(fitness, validation returns)`.
     fn lockstep_score(
@@ -430,9 +429,9 @@ mod lockstep_oracle {
     /// MAdd` pair (product read only by the `MAdd`, or also later in
     /// update or predict, or an outer operand overwritten in between;
     /// either operand order; in place or not; `m0` as the matrix operand)
-    /// fuse exactly when they may, and the columnar engine and a batched
-    /// tile (the program in slot 0 or 1) both match the lockstep oracle,
-    /// which runs the unfused ops, bit for bit.
+    /// fuse exactly when they may, and a `B = 1` tile driven day by day
+    /// and a wider tile (the program in slot 0 or 1) both match the
+    /// lockstep oracle, which runs the unfused ops, bit for bit.
     #[test]
     fn planted_outer_add_pairs_match_lockstep(
         seed in any::<u64>(),
@@ -461,19 +460,18 @@ mod lockstep_oracle {
         }
 
         let mut lock = Interpreter::new(&cfg, ds, groups, seed);
-        let mut col = ColumnarInterpreter::new(&cfg, ds, panel, groups, seed);
+        let mut col = Solo::new(&cfg, ds, panel, groups, seed, &prog);
         lock.run_setup(&prog);
-        col.run_setup(&compiled);
         let k = ds.n_stocks();
         let (mut a, mut b) = (vec![0.0; k], vec![0.0; k]);
         let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for day in ds.train_days().take(6) {
             lock.train_day(&prog, day, true);
-            col.train_day(&compiled, day, true);
+            col.train_day(day, true);
         }
         for day in ds.valid_days().take(4) {
             lock.predict_day(&prog, day, &mut a);
-            col.predict_day(&compiled, day, &mut b);
+            col.predict_day(day, &mut b);
             prop_assert_eq!(
                 bits(&a),
                 bits(&b),

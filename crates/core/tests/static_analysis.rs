@@ -22,12 +22,12 @@ use rand::SeedableRng;
 
 use alphaevolve_core::fingerprint::fingerprint_analyzed;
 use alphaevolve_core::{
-    compile, init, AlphaConfig, AlphaProgram, ColumnarInterpreter, EvalOptions, Evaluator,
-    FunctionId, GroupIndex, Instruction, Kind, Op, StaticVerdict,
+    init, AlphaConfig, AlphaProgram, EvalOptions, Evaluator, FunctionId, Instruction, Kind, Op,
+    StaticVerdict,
 };
-use alphaevolve_market::{
-    features::FeatureSet, generator::MarketConfig, Dataset, DayMajorPanel, SplitSpec,
-};
+use alphaevolve_market::{features::FeatureSet, generator::MarketConfig, Dataset, SplitSpec};
+
+mod common;
 
 fn tiny_evaluator() -> Evaluator {
     let market = MarketConfig {
@@ -84,23 +84,25 @@ fn random_deterministic_program(seed: u64, len: usize) -> AlphaProgram {
     prog
 }
 
-/// Drives the production interpreter over the full train + validation
-/// schedule and returns one prediction row per validation day.
+/// Drives a `B = 1` tile over the full train + validation schedule and
+/// returns one prediction row per validation day.
 fn predict_rows(prog: &AlphaProgram, ev: &Evaluator) -> Vec<Vec<f64>> {
-    let cfg = ev.config();
     let ds = ev.dataset();
-    let groups = GroupIndex::from_universe(ds.universe());
-    let panel = DayMajorPanel::from_panel(ds.panel());
-    let compiled = compile(prog, cfg, ds.n_stocks());
-    let mut col = ColumnarInterpreter::new(cfg, ds, &panel, &groups, ev.options().seed);
-    col.run_setup(&compiled);
+    let mut col = common::Solo::new(
+        ev.config(),
+        ds,
+        ev.day_major(),
+        ev.groups(),
+        ev.options().seed,
+        prog,
+    );
     for day in ds.train_days() {
-        col.train_day(&compiled, day, true);
+        col.train_day(day, true);
     }
     let mut rows = Vec::new();
     let mut row = vec![0.0; ds.n_stocks()];
     for day in ds.valid_days() {
-        col.predict_day(&compiled, day, &mut row);
+        col.predict_day(day, &mut row);
         rows.push(row.clone());
     }
     rows

@@ -30,7 +30,7 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use alphaevolve_core::{fingerprint, AlphaProgram, Evaluator, ProgramVerifier};
+use alphaevolve_core::{fingerprint, liveness, AlphaProgram, Evaluator, ProgramVerifier};
 use alphaevolve_obs::MetricsSnapshot;
 use alphaevolve_store::archive::{AlphaArchive, ArchivedAlpha};
 use alphaevolve_store::fleetwire::{
@@ -251,6 +251,9 @@ impl Coordinator {
             migrants: Vec::new(),
         };
         let mut archive = self.archive.lock().unwrap();
+        // One B = 1 tile re-scores every elite of the round, exactly as
+        // `Evaluator::evaluate` would, without building one per elite.
+        let mut tile = self.evaluator.batch_arena(1);
         for island in 0..self.config.islands {
             let submit = state.pending[island]
                 .take()
@@ -262,21 +265,23 @@ impl Coordinator {
                     im.rejected_invalid.inc();
                     continue;
                 }
-                let evaluation = self.evaluator.evaluate(&program);
-                if evaluation.fitness.is_none() {
+                tile.clear();
+                tile.push(&program, !liveness(&program).stateful);
+                self.evaluator.evaluate_batch_in(&mut tile);
+                let Some(ic) = tile.fitness(0) else {
                     // Well-formed but produces non-finite/degenerate
                     // predictions on this dataset: unusable as an alpha.
                     result.rejected_invalid += 1;
                     im.rejected_invalid.inc();
                     continue;
-                }
+                };
                 let fp = fingerprint(&program, self.evaluator.config()).0;
                 let outcome = archive.admit(ArchivedAlpha {
                     name: format!("alpha_{fp:016x}"),
                     program,
                     fingerprint: fp,
-                    ic: evaluation.ic,
-                    val_returns: evaluation.val_returns,
+                    ic,
+                    val_returns: tile.val_returns(0).to_vec(),
                     train_days,
                     feature_set_id: self.config.feature_set_id,
                 });

@@ -1,9 +1,10 @@
 //! Batched multi-alpha prediction: compile once, train once, serve many.
 //!
 //! At construction every archived program is **compiled once** and
-//! **trained once** (setup + the training sweep its statefulness
-//! requires). [`classify_predict_planes`] then sorts the register planes
-//! its predict body touches, `m0` aside:
+//! **trained once**, through the evaluator's training loop on one reused
+//! `B = 1` tile ([`Evaluator::train_batch_in`]: setup + the training sweep
+//! its statefulness requires). [`classify_predict_planes`] then sorts the
+//! register planes its predict body touches, `m0` aside:
 //!
 //! * **read-only** planes, the trained parameters (the NN seed's `W1` in
 //!   `m1` and `w2` in `v1`), move onto private planes appended after the
@@ -20,26 +21,30 @@
 //!   grows only by the archive's read-only planes, not by a register bank
 //!   per alpha.
 //!
-//! A request for one day loads, once, only the `m0` cells some served
-//! program can read (the union of their
-//! [`CompiledProgram::input_cells`]), then runs every predict body
-//! against that load: restore its dirty planes, predict, and copy the
-//! prediction from its own `s1` plane (a private one when predict never
-//! writes it). A predict that writes `m0` makes the next program reload
-//! the cells. For the paper's seed alphas nothing is dirty, so a served
-//! day copies a few input cells and no parameters. Every request counts
-//! what it copied in `serve_load_bytes_total` and
-//! `serve_restore_bytes_total` ([`ServeMetrics`]).
+//! A serving arena is itself a `B = 1` tile ([`BatchInterpreter`]) whose
+//! slot 0 holds those banks, and every program is relocated onto that one
+//! slot ([`slot_offsets`]). A request for one day loads, once, only the
+//! `m0` cells some served program can read (the union of their
+//! [`CompiledProgram::input_cells`]) into the tile's shared `m0` plane,
+//! then runs every predict body against that load: restore its dirty
+//! planes, predict, and copy the prediction from its own `s1` plane (a
+//! private one when predict never writes it). A predict that writes `m0`
+//! runs on the slot's private `m0` plane, staged from the loaded cells
+//! first. For the paper's seed alphas nothing is dirty, so a served day
+//! copies a few input cells and no parameters. Every request counts what
+//! it copied in `serve_load_bytes_total` and `serve_restore_bytes_total`
+//! ([`ServeMetrics`]).
 //!
 //! Requests are stateless and deterministic: every request predicts from
 //! the post-training state, so the same day always yields the same bits
 //! (recurrent registers and RNG streams do not drift across requests).
 //! Per program the served bits equal what a fresh train-then-predict
-//! evaluation of that day would produce — pinned by the equivalence tests
-//! and the random-program property in `crates/store/tests/serving.rs`.
+//! evaluation of that day would produce — pinned against the lockstep
+//! oracle by the equivalence tests and the random-program property in
+//! `crates/store/tests/serving.rs`.
 //!
 //! Threading: a server is shared read-only; each worker thread or
-//! connection owns one [`ServeArena`] (interpreter + nothing else),
+//! connection owns one [`ServeArena`] (one tile + nothing else),
 //! usually inside a [`ServerSession`](crate::service::ServerSession). A
 //! warm arena serves a request with **zero heap allocations**
 //! (`tests/hot_path_alloc.rs`). To spread one request's alphas across
@@ -53,12 +58,12 @@ use std::sync::Arc;
 use alphaevolve_backtest::CrossSections;
 use alphaevolve_core::memory::PREDICTION;
 use alphaevolve_core::{
-    classify_predict_planes, compile, liveness, rewrite_operands, writes_m0_in, AlphaConfig,
-    AlphaProgram, ColumnarInterpreter, CompiledProgram, EvalOptions, GroupIndex, Kind, PlaneClass,
-    ProgramVerifier, RegisterFile,
+    classify_predict_planes, compile, liveness, rewrite_operands, slot_offsets, writes_m0_in,
+    AlphaConfig, AlphaProgram, BatchInterpreter, CompiledInstr, CompiledProgram, EvalOptions,
+    Evaluator, Kind, PlaneClass, ProgramVerifier, RegisterFile,
 };
 use alphaevolve_market::features::FeatureSet;
-use alphaevolve_market::{Dataset, DayMajorPanel};
+use alphaevolve_market::Dataset;
 use alphaevolve_obs::{MetricsSnapshot, Shards};
 
 use crate::archive::{feature_set_id, AlphaArchive};
@@ -73,12 +78,12 @@ struct Span {
     len: usize,
 }
 
-/// A compiled, trained program, relocated for serving.
+/// A compiled, trained program, relocated onto slot 0 of a serving tile.
 struct ServedProgram {
     name: String,
-    /// The lowered program. Its predict body reads its read-only planes
-    /// at their private offsets (`resident`).
-    compiled: CompiledProgram,
+    /// The lowered predict body. It reads its read-only planes at their
+    /// private offsets (`resident`).
+    predict: Vec<CompiledInstr>,
     /// The planes predict reads before writing them, restored before
     /// every prediction.
     dirty: Vec<Span>,
@@ -91,7 +96,8 @@ struct ServedProgram {
     /// Post-training per-stock RNG streams — captured only when the
     /// predict body draws from the RNG.
     rng_states: Option<Vec<[u64; 4]>>,
-    /// Predict writes into `m0`: the next program needs a fresh input load.
+    /// Predict writes into `m0`, so it runs on the slot's private `m0`
+    /// plane, staged from the loaded cells first.
     writes_input: bool,
     /// Offset of the prediction plane in the scalar buffer: `s1`, or its
     /// private plane when predict only reads it.
@@ -101,12 +107,11 @@ struct ServedProgram {
 /// Serves a fixed set of alphas against one dataset's cross-sections.
 pub struct AlphaServer {
     /// The serving config widened by the programs' private read-only
-    /// planes: what every [`ServeArena`]'s register file is sized for.
+    /// planes: what slot 0 of every [`ServeArena`]'s tile is sized for.
     arena_cfg: AlphaConfig,
-    dataset: Arc<Dataset>,
-    panel: Arc<DayMajorPanel>,
-    groups: GroupIndex,
-    seed: u64,
+    /// The evaluator the programs were trained through: the dataset, its
+    /// day-major panel and groups, and the RNG seed every arena shares.
+    ev: Evaluator,
     programs: Vec<ServedProgram>,
     /// Union of the programs' [`CompiledProgram::input_cells`]: the `m0`
     /// cells a served day loads.
@@ -125,16 +130,16 @@ pub struct AlphaServer {
     metrics: Shards<ServeMetrics>,
 }
 
-/// Per-worker serving state: one columnar interpreter, reused across
-/// requests. Build once per thread with [`AlphaServer::arena`]; after the
-/// first request it is at its high-water mark and requests allocate
-/// nothing.
+/// Per-worker serving state: one `B = 1` tile, reused across requests.
+/// Build once per thread with [`AlphaServer::arena`]; after the first
+/// request it is at its high-water mark and requests allocate nothing.
 pub struct ServeArena<'a> {
-    interp: ColumnarInterpreter<'a>,
+    tile: BatchInterpreter<'a>,
 }
 
 impl AlphaServer {
     /// Builds a server over named programs: compiles each once, trains it
+    /// through the evaluator's training loop on one reused `B = 1` tile
     /// (setup + the training sweep, skipped for stateless programs exactly
     /// like the evaluator's stateless shortcut), snapshots the planes its
     /// predict reads, and relocates its read-only planes onto private
@@ -148,42 +153,42 @@ impl AlphaServer {
         dataset: Arc<Dataset>,
         programs: Vec<(String, AlphaProgram)>,
     ) -> AlphaServer {
-        cfg.validate();
-        let groups = GroupIndex::from_universe(dataset.universe());
-        let panel = Arc::new(DayMajorPanel::from_panel(dataset.panel()));
-        let (d, k) = (cfg.dim, dataset.n_stocks());
+        let ev = Evaluator::new(cfg, opts.clone(), dataset);
+        let (d, k) = (cfg.dim, ev.dataset().n_stocks());
         let mut served = Vec::with_capacity(programs.len());
         let mut input_cells = vec![false; d * d];
         // Next free private plane per kind, after the cfg-sized banks.
         let mut next_private = [cfg.n_scalars, cfg.n_vectors, cfg.n_matrices];
-        let mut interp = ColumnarInterpreter::new(&cfg, &dataset, &panel, &groups, opts.seed);
+        let mut tile = ev.batch_arena(1);
         for (name, program) in programs {
-            let mut compiled = compile(&program, &cfg, k);
-            // Train exactly like a fresh evaluation would: reset, setup,
-            // and the training sweep unless the program is stateless.
-            interp.reset();
-            interp.run_setup(&compiled);
-            if liveness(&program).stateful {
-                for _ in 0..opts.train_epochs {
-                    for day in dataset.train_days() {
-                        interp.train_day(&compiled, day, opts.run_update);
-                    }
-                }
-            }
-            let (dirty, mut resident) = predict_spans(&compiled, d, k);
-            let dirty_state = snapshot_spans(interp.registers(), &dirty);
-            let resident_state = snapshot_spans(interp.registers(), &resident);
+            let compiled = compile(&program, &cfg, k);
+            tile.clear();
+            tile.push(&program, !liveness(&program).stateful);
+            ev.train_batch_in(&mut tile);
+            let writes_input = writes_m0_in(&compiled.predict);
+            // Slot 0 holds a plane at the same offset in the training
+            // tile and in every serving tile.
+            let slot0 = slot_offsets(&cfg, k, 0, !writes_input);
+            let at = |span: &Span| Span {
+                offset: slot0(span.kind, span.offset),
+                ..*span
+            };
+            let (dirty, trained) = predict_spans(&compiled, d, k);
+            let dirty: Vec<Span> = dirty.iter().map(at).collect();
+            let dirty_state = snapshot_spans(tile.registers(), &dirty);
+            let trained_at: Vec<Span> = trained.iter().map(at).collect();
+            let resident_state = snapshot_spans(tile.registers(), &trained_at);
             let rng_states = compiled
                 .predict
                 .iter()
                 .any(|i| i.op.is_stochastic())
                 .then(|| {
                     let mut states = Vec::new();
-                    interp.rng_states_into(&mut states);
+                    tile.rng_states_into(0, &mut states);
                     states
                 });
             // Move the read-only planes onto this program's private planes.
-            let trained = resident.clone();
+            let mut resident = trained.clone();
             for span in &mut resident {
                 let next = match span.kind {
                     Kind::S => &mut next_private[0],
@@ -194,28 +199,31 @@ impl AlphaServer {
                 *next += 1;
             }
             let moved = |kind: Kind, offset: usize| {
-                trained
+                let private = trained
                     .iter()
                     .zip(&resident)
                     .find(|(t, _)| t.kind == kind && t.offset == offset)
-                    .map_or(offset, |(_, r)| r.offset)
+                    .map_or(offset, |(_, r)| r.offset);
+                slot0(kind, private)
             };
-            rewrite_operands(&mut compiled.predict, moved);
+            let mut predict = compiled.predict;
+            rewrite_operands(&mut predict, moved);
             for (union, &cell) in input_cells.iter_mut().zip(&compiled.input_cells) {
                 *union |= cell;
             }
             served.push(ServedProgram {
                 name,
-                writes_input: writes_m0_in(&compiled.predict),
                 prediction: moved(Kind::S, PREDICTION * k),
-                compiled,
+                predict,
                 dirty,
                 dirty_state,
-                resident,
+                resident: resident.iter().map(at).collect(),
                 resident_state,
                 rng_states,
+                writes_input,
             });
         }
+        drop(tile);
         let [n_scalars, n_vectors, n_matrices] = next_private;
         let arena_cfg = AlphaConfig {
             n_scalars,
@@ -226,10 +234,7 @@ impl AlphaServer {
         let (day_load_bytes, day_restore_bytes) = copy_bytes_per_day(&served, &input_cells, k);
         AlphaServer {
             arena_cfg,
-            dataset,
-            panel,
-            groups,
-            seed: opts.seed,
+            ev,
             programs: served,
             input_cells,
             day_load_bytes,
@@ -288,7 +293,7 @@ impl AlphaServer {
 
     /// Number of stocks per cross-section.
     pub fn n_stocks(&self) -> usize {
-        self.dataset.n_stocks()
+        self.ev.dataset().n_stocks()
     }
 
     /// Names of the served alphas, in row order of the output plane.
@@ -300,12 +305,12 @@ impl AlphaServer {
     /// test ranges are the natural live window; earlier days replay
     /// training inputs).
     pub fn n_days(&self) -> usize {
-        self.panel.n_days()
+        self.ev.day_major().n_days()
     }
 
     /// First servable day: earlier days lack a complete feature window.
     pub fn min_day(&self) -> usize {
-        self.dataset.window()
+        self.ev.dataset().window()
     }
 
     /// Identity of the feature recipe behind the served alphas (see
@@ -340,17 +345,18 @@ impl AlphaServer {
     /// trained read-only planes into it (the only allocating step of the
     /// serving path — do it once per thread, outside the request loop).
     pub fn arena(&self) -> ServeArena<'_> {
-        let mut interp = ColumnarInterpreter::new(
+        let mut tile = BatchInterpreter::new(
             &self.arena_cfg,
-            &self.dataset,
-            &self.panel,
-            &self.groups,
-            self.seed,
+            self.ev.dataset(),
+            self.ev.day_major(),
+            self.ev.groups(),
+            self.ev.options().seed,
+            1,
         );
         for p in &self.programs {
-            restore_spans(interp.registers_mut(), &p.resident, &p.resident_state);
+            restore_spans(tile.registers_mut(), &p.resident, &p.resident_state);
         }
-        ServeArena { interp }
+        ServeArena { tile }
     }
 
     /// Serves one day for a contiguous range of programs into a flat
@@ -368,26 +374,24 @@ impl AlphaServer {
         range: Range<usize>,
         out: &mut [f64],
     ) {
-        let k = self.dataset.n_stocks();
+        let k = self.n_stocks();
         assert!(
             range.end <= self.programs.len(),
             "program range out of bounds"
         );
         assert_eq!(out.len(), range.len() * k, "output slice missized");
-        let interp = &mut arena.interp;
-        interp.load_day(day, &self.input_cells);
-        let mut input_dirty = false;
+        let tile = &mut arena.tile;
+        tile.load_day(day, &self.input_cells);
         for (row, p) in out.chunks_exact_mut(k).zip(&self.programs[range]) {
-            if input_dirty {
-                interp.load_day(day, &self.input_cells);
-            }
-            restore_spans(interp.registers_mut(), &p.dirty, &p.dirty_state);
+            restore_spans(tile.registers_mut(), &p.dirty, &p.dirty_state);
             if let Some(states) = &p.rng_states {
-                interp.set_rng_states(states);
+                tile.set_rng_states_slot(0, states);
             }
-            interp.run_predict(&p.compiled);
-            row.copy_from_slice(&interp.registers().s_raw()[p.prediction..p.prediction + k]);
-            input_dirty = p.writes_input;
+            if p.writes_input {
+                tile.stage_private_m0(0, &self.input_cells);
+            }
+            tile.run_function_slot(0, &p.predict);
+            row.copy_from_slice(&tile.registers().s_raw()[p.prediction..p.prediction + k]);
         }
     }
 
@@ -395,7 +399,7 @@ impl AlphaServer {
     /// plane (row order = [`AlphaServer::names`] order). Allocation-free
     /// once `arena` and `out` are at their high-water marks.
     pub fn serve_day_into(&self, arena: &mut ServeArena<'_>, day: usize, out: &mut CrossSections) {
-        let k = self.dataset.n_stocks();
+        let k = self.n_stocks();
         let n = self.programs.len();
         out.reset(n, k);
         self.serve_range_into(arena, day, 0..n, out.as_mut_slice());
@@ -438,14 +442,10 @@ fn predict_spans(compiled: &CompiledProgram, dim: usize, k: usize) -> (Vec<Span>
 }
 
 /// Bytes one served day of the whole archive copies: the union of input
-/// cells once, plus once more after each `m0` writer that is not last;
+/// cells once, plus once more into the private `m0` of each `m0` writer;
 /// and every program's dirty planes and RNG streams.
 fn copy_bytes_per_day(programs: &[ServedProgram], input_cells: &[bool], k: usize) -> (u64, u64) {
-    let loads = 1 + programs
-        .iter()
-        .take(programs.len().saturating_sub(1))
-        .filter(|p| p.writes_input)
-        .count();
+    let loads = 1 + programs.iter().filter(|p| p.writes_input).count();
     let cells = input_cells.iter().filter(|&&c| c).count();
     let restored: usize = programs
         .iter()
@@ -580,11 +580,12 @@ mod tests {
             assert!(p.dirty.is_empty(), "the NN seed restores nothing");
             let mut planes: Vec<_> = p.resident.iter().map(|s| (s.kind, s.offset)).collect();
             planes.sort_unstable();
+            // Slot 0's matrix bank starts after the tile's shared m0.
             assert_eq!(
                 planes,
                 vec![
                     (Kind::V, (cfg.n_vectors + i) * d * k),
-                    (Kind::M, (cfg.n_matrices + i) * d * d * k),
+                    (Kind::M, (1 + cfg.n_matrices + i) * d * d * k),
                 ]
             );
             assert_eq!(p.prediction, PREDICTION * k, "s1 is written first");
@@ -620,16 +621,17 @@ mod tests {
         );
         assert!(server.programs[0].writes_input);
         assert!(!server.programs[1].writes_input);
-        // Every cell, loaded twice: once per day, once after the clobber.
+        // Every cell, copied twice: loaded once per day, and staged into
+        // the clobber's private m0.
         let (d, k) = (cfg.dim, server.n_stocks());
         assert_eq!(server.copy_bytes_per_day().0, (2 * d * d * k * 8) as u64);
-        // A trailing writer does not reload.
+        // A writer stages its copy wherever it sits in the batch.
         let last = AlphaServer::new(
             cfg,
             &EvalOptions::default(),
             dataset(),
             vec![("clean".into(), clean), ("clobber".into(), clobber)],
         );
-        assert_eq!(last.copy_bytes_per_day().0, (d * d * k * 8) as u64);
+        assert_eq!(last.copy_bytes_per_day().0, (2 * d * d * k * 8) as u64);
     }
 }

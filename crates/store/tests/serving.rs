@@ -1,8 +1,9 @@
 //! The serving contract: a warm [`AlphaServer`] request returns, per
-//! program, exactly the bits a fresh compile → train → predict evaluation
-//! of that day would produce — while doing one input load per batch
+//! program, exactly the bits a fresh train → predict run of the lockstep
+//! oracle produces for that day — while doing one input load per batch
 //! instead of one per program, and restoring only the planes predict
-//! reads before it writes them.
+//! reads before it writes them. The server runs the columnar tile, so the
+//! reference is the independent engine.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,12 +15,10 @@ use rand::{Rng, SeedableRng};
 use alphaevolve_backtest::CrossSections;
 use alphaevolve_core::memory::{INPUT, PREDICTION};
 use alphaevolve_core::{
-    compile, init, AlphaConfig, AlphaProgram, ColumnarInterpreter, EvalOptions, FunctionId,
-    GroupIndex, Instruction, Kind, Op,
+    init, AlphaConfig, AlphaProgram, EvalOptions, FunctionId, GroupIndex, Instruction, Interpreter,
+    Kind, Op,
 };
-use alphaevolve_market::{
-    features::FeatureSet, generator::MarketConfig, Dataset, DayMajorPanel, SplitSpec,
-};
+use alphaevolve_market::{features::FeatureSet, generator::MarketConfig, Dataset, SplitSpec};
 use alphaevolve_store::archive::{AlphaArchive, ArchivedAlpha};
 use alphaevolve_store::server::AlphaServer;
 use alphaevolve_store::service::AlphaService;
@@ -51,12 +50,14 @@ fn stochastic_alpha() -> AlphaProgram {
 }
 
 /// An alpha whose predict clobbers the input matrix — the server must
-/// reload `m0` for whoever follows it in the batch.
+/// keep the loaded `m0` intact for whoever follows it in the batch. It
+/// squares `m0`: the features are non-negative, so an `m_abs` would
+/// leave the bits as they were and hide a clobbered plane.
 fn input_clobbering_alpha() -> AlphaProgram {
     AlphaProgram {
         setup: vec![Instruction::nop()],
         predict: vec![
-            Instruction::new(Op::MAbs, 0, 0, 0, [0.0; 2], [0; 2]),
+            Instruction::new(Op::MMul, 0, 0, 0, [0.0; 2], [0; 2]),
             Instruction::new(Op::MMean, 0, 0, 1, [0.0; 2], [0; 2]),
         ],
         update: vec![Instruction::nop()],
@@ -74,29 +75,27 @@ fn batch(cfg: &AlphaConfig) -> Vec<(String, AlphaProgram)> {
     ]
 }
 
-/// The reference: a fresh interpreter per (program, day) — reset, setup,
+/// The reference: a fresh lockstep oracle per (program, day) — setup,
 /// full training sweep (when stateful), then predict exactly that day.
 fn reference_prediction(
     cfg: &AlphaConfig,
     ds: &Dataset,
-    panel: &DayMajorPanel,
     groups: &GroupIndex,
     opts: &EvalOptions,
     prog: &AlphaProgram,
     day: usize,
 ) -> Vec<f64> {
-    let compiled = compile(prog, cfg, ds.n_stocks());
-    let mut interp = ColumnarInterpreter::new(cfg, ds, panel, groups, opts.seed);
-    interp.run_setup(&compiled);
+    let mut interp = Interpreter::new(cfg, ds, groups, opts.seed);
+    interp.run_setup(prog);
     if alphaevolve_core::liveness(prog).stateful {
         for _ in 0..opts.train_epochs {
             for d in ds.train_days() {
-                interp.train_day(&compiled, d, opts.run_update);
+                interp.train_day(prog, d, opts.run_update);
             }
         }
     }
     let mut out = vec![0.0; ds.n_stocks()];
-    interp.predict_day(&compiled, day, &mut out);
+    interp.predict_day(prog, day, &mut out);
     out
 }
 
@@ -105,7 +104,6 @@ fn served_bits_equal_fresh_evaluation_bits() {
     let cfg = AlphaConfig::default();
     let opts = EvalOptions::default();
     let ds = dataset(42, 14);
-    let panel = DayMajorPanel::from_panel(ds.panel());
     let groups = GroupIndex::from_universe(ds.universe());
     let programs = batch(&cfg);
     let server = AlphaServer::new(cfg, &opts, Arc::clone(&ds), programs.clone());
@@ -117,7 +115,7 @@ fn served_bits_equal_fresh_evaluation_bits() {
         server.serve_day_into(&mut arena, day, &mut plane);
         assert_eq!(plane.n_days(), programs.len());
         for (row, (name, prog)) in programs.iter().enumerate() {
-            let reference = reference_prediction(&cfg, &ds, &panel, &groups, &opts, prog, day);
+            let reference = reference_prediction(&cfg, &ds, &groups, &opts, prog, day);
             for (s, (a, b)) in plane.row(row).iter().zip(&reference).enumerate() {
                 assert_eq!(
                     a.to_bits(),
@@ -223,7 +221,7 @@ fn random_served_program(seed: u64) -> AlphaProgram {
     if rng.gen_bool(0.4) {
         let at = rng.gen_range(0..=prog.predict.len());
         prog.predict
-            .insert(at, ins(Op::MAbs, INPUT, 0, INPUT, [0.0; 2]));
+            .insert(at, ins(Op::MMul, INPUT, INPUT, INPUT, [0.0; 2]));
     }
     if rng.gen_bool(0.3) {
         for instr in &mut prog.predict {
@@ -250,7 +248,6 @@ proptest! {
         let cfg = AlphaConfig::default();
         let opts = EvalOptions::default();
         let ds = dataset(seed % 5, 9);
-        let panel = DayMajorPanel::from_panel(ds.panel());
         let groups = GroupIndex::from_universe(ds.universe());
         let programs: Vec<(String, AlphaProgram)> = (0..n as u64)
             .map(|i| (format!("p{i}"), random_served_program(seed.wrapping_add(i))))
@@ -267,7 +264,7 @@ proptest! {
                 .entry((row, day))
                 .or_insert_with(|| {
                     let prog = &programs[row].1;
-                    reference_prediction(&cfg, &ds, &panel, &groups, &opts, prog, day)
+                    reference_prediction(&cfg, &ds, &groups, &opts, prog, day)
                 })
                 .clone()
         };

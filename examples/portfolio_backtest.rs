@@ -13,10 +13,9 @@ use std::sync::Arc;
 
 use alphaevolve::backtest::equity::{max_drawdown, nav_curve, EquityStats};
 use alphaevolve::backtest::portfolio::{positions, LongShortConfig};
-use alphaevolve::core::{compile, init, AlphaConfig, EvalOptions, Evaluator};
-use alphaevolve::market::{
-    features::FeatureSet, generator::MarketConfig, Dataset, DayMajorPanel, SplitSpec,
-};
+use alphaevolve::core::{init, AlphaConfig, EvalOptions, Evaluator};
+use alphaevolve::market::{features::FeatureSet, generator::MarketConfig, Dataset, SplitSpec};
+use alphaevolve::store::AlphaServer;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let market = MarketConfig {
@@ -26,16 +25,17 @@ fn main() -> Result<(), Box<dyn Error>> {
         ..Default::default()
     }
     .generate();
-    let dataset = Dataset::build(&market, &FeatureSet::paper(), SplitSpec::paper_ratios())?;
+    let dataset = Arc::new(Dataset::build(
+        &market,
+        &FeatureSet::paper(),
+        SplitSpec::paper_ratios(),
+    )?);
     let ls = LongShortConfig::scaled(50);
-    let evaluator = Evaluator::new(
-        AlphaConfig::default(),
-        EvalOptions {
-            long_short: ls,
-            ..Default::default()
-        },
-        Arc::new(dataset.clone()),
-    );
+    let opts = EvalOptions {
+        long_short: ls,
+        ..Default::default()
+    };
+    let evaluator = Evaluator::new(AlphaConfig::default(), opts.clone(), Arc::clone(&dataset));
 
     for (name, alpha) in [
         (
@@ -60,24 +60,16 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
-    // Show one day's books for the expert alpha, through the production
-    // (columnar) engine: compile once, predict the day.
-    let alpha = init::domain_expert(evaluator.config());
-    let compiled = compile(&alpha, evaluator.config(), dataset.n_stocks());
-    let groups = alphaevolve::core::GroupIndex::from_universe(dataset.universe());
-    let panel = DayMajorPanel::from_panel(dataset.panel());
-    let mut interp = alphaevolve::core::ColumnarInterpreter::new(
-        evaluator.config(),
-        &dataset,
-        &panel,
-        &groups,
-        0,
+    // Show one day's books for the expert alpha, as a server predicts
+    // them: compile and train once, then serve the day.
+    let server = AlphaServer::new(
+        *evaluator.config(),
+        &opts,
+        Arc::clone(&dataset),
+        vec![("expert".into(), init::domain_expert(evaluator.config()))],
     );
-    interp.run_setup(&compiled);
     let day = dataset.test_days().end - 1;
-    let mut preds = vec![0.0; dataset.n_stocks()];
-    interp.predict_day(&compiled, day, &mut preds);
-    let books = positions(&preds, &ls);
+    let books = positions(server.serve_day(day).row(0), &ls);
     let syms = |ix: &[usize]| {
         ix.iter()
             .map(|&i| dataset.universe().stock(i).symbol.clone())

@@ -73,7 +73,7 @@ fn different_market_seeds_give_different_results() {
 }
 
 /// Pins the evaluation-path refactor (flat CrossSections panels, reusable
-/// EvalArenas, sharded fingerprint cache): a fixed-seed single-worker
+/// evaluation arenas, sharded fingerprint cache): a fixed-seed single-worker
 /// evolution run must reproduce the best-alpha fingerprint, fitness, and
 /// search counters measured on the pre-refactor nested-Vec implementation.
 #[test]

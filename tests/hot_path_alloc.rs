@@ -1,8 +1,8 @@
 //! Proves the zero-allocation evaluation hot path: once a worker's
-//! [`EvalArena`] is warm, `Evaluator::evaluate_in` performs **zero heap
-//! allocations per candidate** — the per-candidate compile pass (liveness
-//! marks + lowered instructions) refills reused buffers, columnar
-//! interpreter planes are reset in place, predictions land in the arena's
+//! `BatchArena` is warm, `Evaluator::evaluate_batch_in` performs **zero
+//! heap allocations per candidate** — the per-candidate compile pass
+//! (liveness marks + lowered instructions) refills reused buffers, the
+//! tile's slot planes are reset in place, predictions land in each slot's
 //! flat `CrossSections` panel, the IC streams without collecting, and
 //! portfolio returns refill reused buffers.
 //!
@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 use alphaevolve::backtest::CrossSections;
 use alphaevolve::core::{
-    compile, fingerprint, init, AlphaConfig, AlphaProgram, EvalOptions, Evaluator, FlushCause,
-    Instruction, Op, SearchTelemetry,
+    compile, fingerprint, init, liveness, AlphaConfig, AlphaProgram, BatchArena, EvalOptions,
+    Evaluator, FlushCause, Instruction, Op, SearchTelemetry,
 };
 use alphaevolve::market::{features::FeatureSet, generator::MarketConfig, Dataset, SplitSpec};
 use alphaevolve::store::{
@@ -91,6 +91,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Scores `prog` alone in a warm `B = 1` tile, with the stateless
+/// shortcut `Evaluator::evaluate` applies.
+fn score_in(ev: &Evaluator, solo: &mut BatchArena<'_>, prog: &AlphaProgram) -> Option<f64> {
+    solo.clear();
+    solo.push(prog, !liveness(prog).stateful);
+    ev.evaluate_batch_in(solo);
+    solo.fitness(0)
 }
 
 /// A candidate whose prediction goes NaN on the first validation day (the
@@ -235,19 +244,19 @@ fn evaluation_hot_path_is_allocation_free_once_warm() {
     }
     let bad = invalid_candidate();
 
-    let mut arena = ev.arena();
+    let mut solo = ev.batch_arena(1);
     // Warm-up: buffers grow to their high-water mark.
     for prog in &progs {
-        let _ = ev.evaluate_in(&mut arena, prog);
+        let _ = score_in(&ev, &mut solo, prog);
     }
-    let _ = ev.evaluate_in(&mut arena, &bad);
+    let _ = score_in(&ev, &mut solo, &bad);
 
     // Phase 1: valid candidates (compile + train + sweep + IC + returns).
     let before = allocations();
     let mut checksum = 0.0;
     for _ in 0..5 {
         for prog in &progs {
-            checksum += ev.evaluate_in(&mut arena, prog).unwrap_or(0.0);
+            checksum += score_in(&ev, &mut solo, prog).unwrap_or(0.0);
         }
     }
     let after = allocations();
@@ -255,13 +264,13 @@ fn evaluation_hot_path_is_allocation_free_once_warm() {
     assert_eq!(
         after - before,
         0,
-        "evaluate_in allocated on the hot path ({} allocations over 30 candidates)",
+        "a B = 1 tile allocated on the hot path ({} allocations over 30 candidates)",
         after - before
     );
     // Phase 2: killed candidates (aborted sweep) must not allocate either.
     let before = allocations();
     for _ in 0..5 {
-        assert!(ev.evaluate_in(&mut arena, &bad).is_none());
+        assert!(score_in(&ev, &mut solo, &bad).is_none());
     }
     let after = allocations();
     assert_eq!(after - before, 0, "killed candidates must not allocate");
@@ -460,8 +469,8 @@ fn evaluation_hot_path_is_allocation_free_once_warm() {
     // cells — four cells (expert), two cells (momentum), one column (NN),
     // none (kernel-heavy), every cell (stochastic) — refill a warm tile
     // in changing pairs, so the tile's union mask is recomputed from
-    // different masks each time; the sequential `evaluate_prepared_in`
-    // path loads each candidate's own mask. Neither may allocate.
+    // different masks each time; the warm `B = 1` tile loads each
+    // candidate's own mask. Neither may allocate.
     let momentum = init::momentum(ev.config());
     let pairs: [[&AlphaProgram; 2]; 4] = [
         [&progs[0], &momentum],
@@ -480,9 +489,7 @@ fn evaluation_hot_path_is_allocation_free_once_warm() {
             sum += tile.fitness(0).unwrap_or(0.0) + tile.fitness(1).unwrap_or(0.0);
             tile.clear();
             for prog in pair {
-                sum += ev
-                    .evaluate_prepared_in(&mut arena, prog, false)
-                    .unwrap_or(0.0);
+                sum += score_in(&ev, &mut solo, prog).unwrap_or(0.0);
             }
         }
         sum
@@ -504,9 +511,10 @@ fn evaluation_hot_path_is_allocation_free_once_warm() {
 
     // Phase 7: a warm session over an archive that restores state. The
     // recurrent candidate's predict reads s1 before writing it (a dirty
-    // plane, restored every request), the clobbering one writes m0 (the
-    // next program reloads the input cells), and the NN keeps its trained
-    // weights resident. Day and range requests must not allocate.
+    // plane, restored every request), the clobbering one writes m0 (it
+    // runs on the slot's private m0, staged from the loaded cells), and
+    // the NN keeps its trained weights resident. Day and range requests
+    // must not allocate.
     let server = AlphaServer::new(
         AlphaConfig::default(),
         &EvalOptions::default(),
