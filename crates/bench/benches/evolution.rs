@@ -62,7 +62,8 @@ fn benches(c: &mut Criterion) {
     // the shared input plane once per *tile* instead of once per
     // candidate; single-worker results are bit-identical across B
     // (tests/determinism.rs), so the sweep isolates pure throughput.
-    for batch in [1usize, 4, 8, 16] {
+    // B = 1 is `600_candidates_1_workers` above (the default config).
+    for batch in [4usize, 8, 16] {
         let bconfig = EvolutionConfig {
             batch,
             budget: Budget::Searched(600),

@@ -25,6 +25,11 @@
 //!   `m0` reads all of it. The tile copies only those cells of each
 //!   day's feature window, since a cell outside the mask is never
 //!   read (the paper's formulaic alphas read a handful of the 169).
+//! * **register footprint** — [`CompiledProgram::footprint`] records,
+//!   per kind, the register planes the kept instructions reference, plus
+//!   `s0` and `s1`. Resetting a tile slot zeroes only these planes: a
+//!   plane outside the footprint is never read (the expert seed
+//!   references ten of the thirty planes, all scalars).
 //! * **rank-1 fusion** — a `VOuter t = u ⊗ v` whose only reader in the
 //!   whole program is a following `MAdd w = x + t` (or `t + x`) becomes one
 //!   lowered-only pass `w = x + u ⊗ v` ([`Fused::OuterAdd`]) at the
@@ -50,7 +55,7 @@
 
 use crate::config::AlphaConfig;
 use crate::instruction::Instruction;
-use crate::memory::{INPUT, PREDICTION};
+use crate::memory::{LABEL, PREDICTION};
 use crate::op::{Kind, Op};
 use crate::program::AlphaProgram;
 
@@ -116,7 +121,8 @@ impl CompiledInstr {
     /// Every register operand: the inputs in argument order, then the
     /// output. A no-op has none; a fused pass lists its extra operands.
     /// The one operand enumeration behind [`rewrite_operands`],
-    /// [`classify_predict_planes`], [`writes_m0_in`] and the fusion pass.
+    /// [`classify_predict_planes`], [`writes_m0_in`], the fusion pass and the
+    /// input-cell and footprint walk.
     pub(crate) fn operands(&self) -> impl Iterator<Item = Operand> {
         let mut copy = *self;
         copy.operand_slots()
@@ -182,6 +188,61 @@ pub struct CompiledProgram {
     /// register indices before any tile relocation; the engines load only
     /// these cells of each day's input window.
     pub input_cells: Vec<bool>,
+    /// The register planes a tile slot must zero before this program
+    /// runs (see [`Footprint`]). Filled in the same walk as
+    /// `input_cells`.
+    pub footprint: Footprint,
+}
+
+/// The register planes a lowered program references, one mask per kind
+/// indexed by register number, before any tile relocation. It covers
+/// every operand of setup, predict and update, and always `s0` (labels)
+/// and `s1` (predictions), which the training loop writes and reads
+/// whatever the program does. `m0` counts only when the program writes
+/// it: a slot then runs on a private `m0` plane, while a reader of `m0`
+/// reads the tile's shared plane, which is no slot's to reset.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Scalar registers `s0..`.
+    pub scalars: Vec<bool>,
+    /// Vector registers `v0..`.
+    pub vectors: Vec<bool>,
+    /// Matrix registers `m0..`.
+    pub matrices: Vec<bool>,
+}
+
+impl Footprint {
+    fn with_capacity(cfg: &AlphaConfig) -> Footprint {
+        Footprint {
+            scalars: Vec::with_capacity(cfg.n_scalars),
+            vectors: Vec::with_capacity(cfg.n_vectors),
+            matrices: Vec::with_capacity(cfg.n_matrices),
+        }
+    }
+
+    /// The mask of one kind's registers.
+    pub fn of(&self, kind: Kind) -> &[bool] {
+        match kind {
+            Kind::S => &self.scalars,
+            Kind::V => &self.vectors,
+            Kind::M => &self.matrices,
+        }
+    }
+
+    /// Clears every mark, sized for `cfg`'s register banks; only the
+    /// always-referenced `s0` and `s1` stay marked.
+    fn reset(&mut self, cfg: &AlphaConfig) {
+        for (mask, n) in [
+            (&mut self.scalars, cfg.n_scalars),
+            (&mut self.vectors, cfg.n_vectors),
+            (&mut self.matrices, cfg.n_matrices),
+        ] {
+            mask.clear();
+            mask.resize(n, false);
+        }
+        self.scalars[LABEL] = true;
+        self.scalars[PREDICTION] = true;
+    }
 }
 
 impl CompiledProgram {
@@ -193,6 +254,7 @@ impl CompiledProgram {
             predict: Vec::with_capacity(cfg.max_predict_ops),
             update: Vec::with_capacity(cfg.max_update_ops),
             input_cells: Vec::with_capacity(cfg.dim * cfg.dim),
+            footprint: Footprint::with_capacity(cfg),
         }
     }
 
@@ -276,20 +338,43 @@ fn lower(instr: &Instruction, dim: usize, n_stocks: usize, next_slot: &mut u16) 
     }
 }
 
-/// Marks in `cells` (row-major `dim × dim`) the `m0` cells `instr` can
-/// read: one cell, row or column for an ExtractionOp whose operand is
-/// `m0`, every cell for any other op reading `m0` through either operand.
-fn mark_input_cells(instr: &Instruction, dim: usize, cells: &mut [bool]) {
-    let kinds = instr.op.input_kinds();
-    let reads = |i: usize, reg: u8| kinds.get(i) == Some(&Kind::M) && reg as usize == INPUT;
+/// Fills `input_cells` and `footprint` of the lowered, unrelocated
+/// `prog` in one walk over every operand of its three bodies. A read of
+/// `m0` marks the cell, row or column an ExtractionOp reads, and every
+/// cell for any other op; a write of `m0` marks the private `m0` plane.
+fn mark_reads(prog: &mut CompiledProgram, cfg: &AlphaConfig, n_stocks: usize) {
+    let d = cfg.dim;
+    let CompiledProgram {
+        setup,
+        predict,
+        update,
+        input_cells,
+        footprint,
+    } = prog;
+    input_cells.clear();
+    input_cells.resize(d * d, false);
+    footprint.reset(cfg);
+    for instr in setup.iter().chain(&*predict).chain(&*update) {
+        for p in instr.operands() {
+            if p.kind == Kind::M && p.offset == 0 && !p.write {
+                mark_input_cells(instr, d, input_cells);
+                continue;
+            }
+            let (mask, plane) = match p.kind {
+                Kind::S => (&mut footprint.scalars, n_stocks),
+                Kind::V => (&mut footprint.vectors, d * n_stocks),
+                Kind::M => (&mut footprint.matrices, d * d * n_stocks),
+            };
+            mask[p.offset / plane.max(1)] = true;
+        }
+    }
+}
+
+/// Marks in `cells` (row-major `dim × dim`) the `m0` cells `instr`, which
+/// reads `m0`, can read: one cell, row or column for an ExtractionOp (whose
+/// only operand is then `m0`), every cell for any other op.
+fn mark_input_cells(instr: &CompiledInstr, dim: usize, cells: &mut [bool]) {
     let (r0, r1) = (instr.ix[0] as usize, instr.ix[1] as usize);
-    if reads(1, instr.in2) {
-        cells.fill(true);
-        return;
-    }
-    if !reads(0, instr.in1) {
-        return;
-    }
     match instr.op {
         Op::MGet if r0 < dim && r1 < dim => cells[r0 * dim + r1] = true,
         Op::MGetRow if r0 < dim => cells[r0 * dim..(r0 + 1) * dim].fill(true),
@@ -309,7 +394,6 @@ fn lower_function(
     n_stocks: usize,
     next_slot: &mut u16,
     out: &mut Vec<CompiledInstr>,
-    input_cells: &mut [bool],
 ) {
     out.clear();
     for (instr, &live) in instrs.iter().zip(marks) {
@@ -322,7 +406,6 @@ fn lower_function(
         if !live && !instr.op.is_stochastic() {
             continue;
         }
-        mark_input_cells(instr, dim, input_cells);
         out.push(lower(instr, dim, n_stocks, next_slot));
     }
 }
@@ -343,8 +426,6 @@ pub fn compile_into(
         &mut scratch.update_marks,
     );
     let d = cfg.dim;
-    out.input_cells.clear();
-    out.input_cells.resize(d * d, false);
     // Rank-cache rows are numbered across the whole program so every
     // rank instruction keeps a stable row for the interpreter's lifetime.
     let mut next_slot: u16 = 0;
@@ -355,7 +436,6 @@ pub fn compile_into(
         n_stocks,
         &mut next_slot,
         &mut out.setup,
-        &mut out.input_cells,
     );
     lower_function(
         &prog.predict,
@@ -364,7 +444,6 @@ pub fn compile_into(
         n_stocks,
         &mut next_slot,
         &mut out.predict,
-        &mut out.input_cells,
     );
     lower_function(
         &prog.update,
@@ -373,9 +452,9 @@ pub fn compile_into(
         n_stocks,
         &mut next_slot,
         &mut out.update,
-        &mut out.input_cells,
     );
     fuse_outer_adds(out);
+    mark_reads(out, cfg, n_stocks);
 }
 
 /// Fuses every `VOuter t = u ⊗ v` whose value only a later `MAdd` reads
@@ -612,6 +691,7 @@ pub fn compile(prog: &AlphaProgram, cfg: &AlphaConfig, n_stocks: usize) -> Compi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::INPUT;
 
     fn i(op: Op, in1: u8, in2: u8, out: u8) -> Instruction {
         Instruction::new(op, in1, in2, out, [0.0; 2], [0; 2])
@@ -802,6 +882,70 @@ mod tests {
             marked(&crate::init::two_layer_nn(&cfg)),
             (0..cfg.dim).map(|r| (r, newest)).collect::<Vec<_>>()
         );
+    }
+
+    /// The registers of `kind` a program's footprint marks.
+    fn referenced(prog: &AlphaProgram, kind: Kind) -> Vec<usize> {
+        let c = compile(prog, &AlphaConfig::default(), 5);
+        (0..c.footprint.of(kind).len())
+            .filter(|&r| c.footprint.of(kind)[r])
+            .collect()
+    }
+
+    #[test]
+    fn footprint_of_the_seed_alphas() {
+        let cfg = AlphaConfig::default();
+        let expert = crate::init::domain_expert(&cfg);
+        assert_eq!(referenced(&expert, Kind::S), (0..10).collect::<Vec<_>>());
+        assert!(referenced(&expert, Kind::V).is_empty());
+        assert!(referenced(&expert, Kind::M).is_empty());
+        // The fused `W1 += v8 ⊗ x` step drops the outer product's plane.
+        let nn = crate::init::two_layer_nn(&cfg);
+        assert_eq!(referenced(&nn, Kind::S).len(), 5);
+        assert_eq!(referenced(&nn, Kind::V).len(), 8);
+        assert_eq!(referenced(&nn, Kind::M), vec![1]);
+    }
+
+    #[test]
+    fn footprint_marks_every_body_labels_predictions_and_m0_writes() {
+        let cfg = AlphaConfig::default();
+        let empty = AlphaProgram {
+            setup: vec![Instruction::nop()],
+            predict: vec![Instruction::nop()],
+            update: vec![Instruction::nop()],
+        };
+        assert_eq!(referenced(&empty, Kind::S), vec![LABEL, PREDICTION]);
+        assert!(referenced(&empty, Kind::V).is_empty());
+        assert!(referenced(&empty, Kind::M).is_empty());
+
+        // Update-only and setup-only registers count; reading m0 marks
+        // no plane of the slot's own.
+        let prog = AlphaProgram {
+            setup: vec![i(Op::VBroadcast, 7, 0, 3)],
+            predict: vec![
+                i(Op::MMean, INPUT as u8, 0, 2),
+                i(Op::VSum, 3, 0, 4),
+                i(Op::SAdd, 2, 4, PREDICTION as u8),
+            ],
+            update: vec![i(Op::MatVec, 2, 5, 3)],
+        };
+        assert_eq!(referenced(&prog, Kind::S), vec![0, 1, 2, 4, 7]);
+        assert_eq!(referenced(&prog, Kind::V), vec![3, 5]);
+        assert_eq!(referenced(&prog, Kind::M), vec![2]);
+        let c = compile(&prog, &cfg, 5);
+        assert!(c.input_cells.iter().all(|&cell| cell));
+
+        // Writing m0 marks the slot's private m0 plane.
+        let mut clobber = prog;
+        clobber.update.push(Instruction::new(
+            Op::MGauss,
+            0,
+            0,
+            INPUT as u8,
+            [0.0, 1.0],
+            [0; 2],
+        ));
+        assert_eq!(referenced(&clobber, Kind::M), vec![0, 2]);
     }
 
     #[test]
@@ -1181,6 +1325,9 @@ mod tests {
             out.predict.capacity(),
             out.update.capacity(),
             out.input_cells.capacity(),
+            out.footprint.scalars.capacity(),
+            out.footprint.vectors.capacity(),
+            out.footprint.matrices.capacity(),
         );
         let mut scratch = CompileScratch::default();
         let prog = AlphaProgram {
@@ -1198,6 +1345,9 @@ mod tests {
                 out.predict.capacity(),
                 out.update.capacity(),
                 out.input_cells.capacity(),
+                out.footprint.scalars.capacity(),
+                out.footprint.vectors.capacity(),
+                out.footprint.matrices.capacity(),
             ),
             cap
         );

@@ -12,8 +12,9 @@
 //! [`BatchInterpreter`] tile of `B` slots plus per-slot compile,
 //! prediction and return buffers (see [`BatchInterpreter`] for the tile
 //! layout). [`Evaluator::train_batch_in`] is the one training loop —
-//! reset, `Setup()`, then one shared load per training day and each
-//! slot's predict and update against it — behind all three callers:
+//! reset of the planes each slot's program references, `Setup()`, then
+//! one shared load per training day and each slot's predict and update
+//! against it — behind all three callers:
 //!
 //! * [`Evaluator::evaluate_batch_in`], which the search feeds tiles of up
 //!   to `B` candidates, then sweeps the validation days (a dead slot stops
@@ -42,7 +43,9 @@
 //!   (cloning an [`Evaluator`] via [`Evaluator::with_options`] shares,
 //!   not copies);
 //! * each worker owns one [`BatchArena`], whose slots are reset in place
-//!   between tiles rather than reconstructed;
+//!   between tiles rather than reconstructed, and a reset zeroes only the
+//!   register planes the slot's program references
+//!   ([`CompiledProgram::footprint`]);
 //! * each candidate is lowered once per evaluation by
 //!   [`compile_into`](crate::compile::compile_into()) (dead code stripped,
 //!   register offsets resolved and relocated onto its slot) and then
@@ -503,13 +506,16 @@ impl Evaluator {
         let input_cells = &*input_cells;
         let load_bytes = self.load_bytes(input_cells);
 
-        // Evaluation starts from a zeroed register file, so a Setup()
-        // body reading m0 must see zeros, not a stale panel.
+        // Evaluation starts from zeroed registers: the shared m0 cells
+        // the tile loads (a Setup() body reading m0 must see zeros, not a
+        // stale panel) and each slot's footprint. No slot reads a plane
+        // outside its footprint, so those keep stale values.
         interp.reset_shared_input(input_cells);
         let t = crate::telemetry::mark();
         for (b, s) in slots.iter_mut().enumerate() {
-            interp.reset_slot(b);
-            interp.debug_assert_slot_clean(b);
+            spans
+                .reset_bytes
+                .add(interp.reset_slot(b, &s.compiled.footprint));
             interp.run_function_slot(b, &s.compiled.setup);
             s.live = true;
         }

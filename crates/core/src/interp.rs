@@ -34,7 +34,7 @@
 //! (the tile's one training loop is `Evaluator::train_batch_in`):
 //!
 //! ```text
-//! Setup()                          once per stock (registers zeroed first)
+//! Setup()                          once per stock (registers it references zeroed first)
 //! per training day t:
 //!     m0 <- X[stock, t];  Predict();  s0 <- y[stock, t];  Update()
 //! per validation/test day t:
@@ -53,14 +53,14 @@ use alphaevolve_market::{Dataset, DayMajorPanel};
 
 #[cfg(doc)]
 use crate::compile::CompiledProgram;
-use crate::compile::{CompiledInstr, Fused};
+use crate::compile::{slot_offsets, CompiledInstr, Footprint, Fused};
 use crate::config::AlphaConfig;
 use crate::instruction::Instruction;
 use crate::kernels::RankCache;
 use crate::memory::MemoryBank;
 use crate::memory::{RegisterFile, INPUT, LABEL, PREDICTION};
 use crate::op::execute_local;
-use crate::op::{uniform_in, Op};
+use crate::op::{uniform_in, Kind, Op};
 use crate::program::AlphaProgram;
 use crate::relation::{demean_dense, demean_within, rank_within, GroupIndex, GroupSlices};
 
@@ -373,16 +373,31 @@ fn run_instrs(
 /// In debug
 /// builds a shadow copy verifies no slot ever mutates the shared plane.
 ///
+/// # Slot reset
+///
+/// An evaluation starts from zeroed registers, but a slot's program can
+/// only observe the planes it references: its
+/// [`CompiledProgram::footprint`] (every operand, plus `s0` and `s1`,
+/// plus the private `m0` plane when it writes `m0`).
+/// [`BatchInterpreter::reset_slot`] zeroes exactly those planes, so a
+/// formulaic candidate's reset at K = 1026 touches its ten scalar planes
+/// (82 KB), not the slot's 7.3 MB. Every other plane of the slot keeps a
+/// previous candidate's values in release builds and is filled with NaN
+/// in debug builds, where a footprint that misses a read turns the
+/// candidate's fitness NaN.
+///
 /// # RNG-stream contract
 ///
 /// Slot `b` owns `K` private RNG streams seeded exactly like a dedicated
 /// sequential interpreter's (`stock_rng(seed, stock)`) — slot index does
-/// **not** enter the seed. Resetting a slot reseeds only that slot's
-/// streams. This is what makes a slot of a wide tile bit-identical to the
-/// same candidate alone in a `B = 1` tile (and to the lockstep oracle) for
-/// stochastic programs: each candidate sees the same per-stock draw
-/// sequence wherever it sits. The per-slot `rel_lane` planes are likewise private because the
-/// lockstep scatter buffer they mirror persists *across* instructions.
+/// **not** enter the seed. Resetting a slot reseeds all of that slot's
+/// streams, whatever its footprint, and no other slot's. This is what
+/// makes a slot of a wide tile bit-identical to the same candidate alone
+/// in a `B = 1` tile (and to the lockstep oracle) for stochastic programs:
+/// each candidate sees the same per-stock draw sequence wherever it sits.
+/// The per-slot `rel_lane` planes are likewise private, and zeroed by
+/// every reset, because the lockstep scatter buffer they mirror persists
+/// *across* instructions.
 ///
 /// Scratch buffers (`scratch_v`, `scratch_m`, `lane`, `rank_scratch`) are
 /// shared across slots: every kernel overwrites them before reading
@@ -417,9 +432,9 @@ pub struct BatchInterpreter<'a> {
     max_slots: usize,
     base_seed: u64,
     batch: usize,
-    n_scalars: usize,
-    n_vectors: usize,
-    n_matrices: usize,
+    /// Per-slot register banks and dimension: the layout
+    /// [`crate::compile::slot_offsets`] places each slot's planes by.
+    cfg: AlphaConfig,
     /// Debug shadow of the shared `m0` plane, asserted bitwise unchanged
     /// after every slot execution. Allocated once here so the release hot
     /// path stays allocation-free *and* debug runs stay allocation-free
@@ -494,9 +509,7 @@ impl<'a> BatchInterpreter<'a> {
             max_slots: cfg.max_setup_ops + cfg.max_predict_ops + cfg.max_update_ops,
             base_seed: seed,
             batch,
-            n_scalars: cfg.n_scalars,
-            n_vectors: cfg.n_vectors,
-            n_matrices: cfg.n_matrices,
+            cfg: *cfg,
             #[cfg(debug_assertions)]
             m0_shadow: vec![0.0; d * d * k],
         }
@@ -534,67 +547,49 @@ impl<'a> BatchInterpreter<'a> {
         self.m0_shadow.copy_from_slice(&self.regs.m[..d2k]);
     }
 
-    /// Returns slot `b` to its freshly-constructed state: zeroes the
-    /// slot's scalar/vector/matrix regions and `rel_lane`, reseeds the
-    /// slot's per-stock RNG streams. Other slots and the shared `m0`
-    /// plane are untouched.
-    pub fn reset_slot(&mut self, b: usize) {
+    /// Returns slot `b` to the state its program can observe in a freshly
+    /// constructed tile: zeroes each register plane of `footprint` (the
+    /// slot's [`CompiledProgram::footprint`]) once, zeroes the slot's
+    /// `rel_lane`, and reseeds its per-stock RNG streams. Planes outside
+    /// the footprint keep whatever an earlier candidate left, since the
+    /// program never reads them; debug builds fill them with NaN, so a
+    /// footprint that misses a read turns the slot's predictions NaN.
+    /// Other slots and the shared `m0` plane are untouched. Planes are
+    /// placed by [`crate::compile::slot_offsets`], the map the slot's
+    /// program was relocated through. Returns the bytes zeroed.
+    ///
+    /// # Panics
+    /// If `b` is out of range, or `footprint` is sized for other register
+    /// banks than the tile's.
+    pub fn reset_slot(&mut self, b: usize, footprint: &Footprint) -> u64 {
         assert!(b < self.batch, "slot out of range");
         let k = self.regs.n_stocks();
         let d = self.regs.dim();
-        let d2k = d * d * k;
-        self.regs.s[b * self.n_scalars * k..(b + 1) * self.n_scalars * k].fill(0.0);
-        self.regs.v[b * self.n_vectors * d * k..(b + 1) * self.n_vectors * d * k].fill(0.0);
-        self.regs.m[(1 + b * self.n_matrices) * d2k..(1 + (b + 1) * self.n_matrices) * d2k]
-            .fill(0.0);
+        let at = slot_offsets(&self.cfg, k, b, false);
+        let mut zeroed = 0;
+        for (kind, n_regs, plane, buf) in [
+            (Kind::S, self.cfg.n_scalars, k, &mut self.regs.s),
+            (Kind::V, self.cfg.n_vectors, d * k, &mut self.regs.v),
+            (Kind::M, self.cfg.n_matrices, d * d * k, &mut self.regs.m),
+        ] {
+            let marks = footprint.of(kind);
+            assert_eq!(marks.len(), n_regs, "footprint / tile register mismatch");
+            for (reg, &referenced) in marks.iter().enumerate() {
+                let off = at(kind, reg * plane);
+                let plane = &mut buf[off..off + plane];
+                if referenced {
+                    plane.fill(0.0);
+                    zeroed += plane.len();
+                } else if cfg!(debug_assertions) {
+                    plane.fill(f64::NAN);
+                }
+            }
+        }
         self.rel_lanes[b * k..(b + 1) * k].fill(0.0);
         for i in 0..k {
             self.rngs[b * k + i] = stock_rng(self.base_seed, i);
         }
-    }
-
-    /// Debug-only sweep guard: asserts slot `b`'s entire register region,
-    /// `rel_lane`, and RNG streams match a freshly-reset slot. A stale
-    /// `Update()`-written register leaking across tile slots is the most
-    /// likely silent-corruption bug in batched evaluation, so the
-    /// evaluator calls this after every [`BatchInterpreter::reset_slot`]
-    /// in debug builds. Compiles to nothing in release builds.
-    pub fn debug_assert_slot_clean(&self, b: usize) {
-        #[cfg(debug_assertions)]
-        {
-            let k = self.regs.n_stocks();
-            let d = self.regs.dim();
-            let d2k = d * d * k;
-            let clean = |buf: &[f64]| buf.iter().all(|x| x.to_bits() == 0);
-            assert!(
-                clean(&self.regs.s[b * self.n_scalars * k..(b + 1) * self.n_scalars * k]),
-                "stale scalar state in tile slot {b}"
-            );
-            assert!(
-                clean(&self.regs.v[b * self.n_vectors * d * k..(b + 1) * self.n_vectors * d * k]),
-                "stale vector state in tile slot {b}"
-            );
-            assert!(
-                clean(
-                    &self.regs.m
-                        [(1 + b * self.n_matrices) * d2k..(1 + (b + 1) * self.n_matrices) * d2k]
-                ),
-                "stale matrix state in tile slot {b}"
-            );
-            assert!(
-                clean(&self.rel_lanes[b * k..(b + 1) * k]),
-                "stale rel_lane state in tile slot {b}"
-            );
-            for i in 0..k {
-                assert_eq!(
-                    self.rngs[b * k + i].state(),
-                    stock_rng(self.base_seed, i).state(),
-                    "stale RNG stream for stock {i} in tile slot {b}"
-                );
-            }
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = b;
+        (zeroed * std::mem::size_of::<f64>()) as u64
     }
 
     /// Loads the `cells` of one day's input window (the tile's union of
@@ -621,7 +616,7 @@ impl<'a> BatchInterpreter<'a> {
     pub fn stage_private_m0(&mut self, b: usize, cells: &[bool]) {
         let k = self.regs.n_stocks();
         let d2k = self.d2k();
-        let base = (1 + b * self.n_matrices) * d2k;
+        let base = (1 + b * self.cfg.n_matrices) * d2k;
         let (shared, rest) = self.regs.m.split_at_mut(d2k);
         let private = &mut rest[base - d2k..base];
         if cells.iter().all(|&c| c) {
@@ -644,7 +639,7 @@ impl<'a> BatchInterpreter<'a> {
     /// Loads the day's label cross-section into slot `b`'s `s0` plane.
     pub fn load_labels_slot(&mut self, b: usize, day: usize) {
         let k = self.regs.n_stocks();
-        let off = (b * self.n_scalars + LABEL) * k;
+        let off = (b * self.cfg.n_scalars + LABEL) * k;
         self.regs.s[off..off + k].copy_from_slice(self.panel.labels_row(day));
     }
 
@@ -689,7 +684,7 @@ impl<'a> BatchInterpreter<'a> {
     /// `n_stocks`).
     pub fn read_predictions_slot(&self, b: usize, out: &mut [f64]) {
         let k = self.regs.n_stocks();
-        let off = (b * self.n_scalars + PREDICTION) * k;
+        let off = (b * self.cfg.n_scalars + PREDICTION) * k;
         out.copy_from_slice(&self.regs.s[off..off + k]);
     }
 
@@ -1322,7 +1317,7 @@ mod tests {
         /// streams, `Setup()` run again.
         fn reset(&mut self) {
             self.tile.reset_shared_input(&self.prog.input_cells);
-            self.tile.reset_slot(0);
+            self.tile.reset_slot(0, &self.prog.footprint);
             self.tile.run_function_slot(0, &self.prog.setup);
         }
 

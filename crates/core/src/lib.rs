@@ -70,7 +70,7 @@ pub use canon::{canonical_program, CanonOutcome};
 pub use compile::{
     classify_predict_planes, compile, compile_into, relocate_for_slot, rewrite_operands,
     slot_offsets, writes_m0, writes_m0_in, CompileScratch, CompiledInstr, CompiledProgram,
-    PlaneClass, PredictPlane,
+    Footprint, PlaneClass, PredictPlane,
 };
 pub use config::AlphaConfig;
 pub use eval::{

@@ -110,6 +110,9 @@ pub struct EvalSpans {
     /// Bytes those `load_day` calls copied into the input plane: the
     /// tile's union of read `m0` cells × stocks × 8 per loaded day.
     pub load_day_bytes: Count,
+    /// Bytes slot resets zeroed before `Setup()`: each candidate's
+    /// register footprint × stocks × 8.
+    pub reset_bytes: Count,
     /// Nanoseconds executing `Predict()` bodies.
     pub predict_ns: Count,
     /// Nanoseconds loading labels and executing `Update()` bodies.
@@ -214,6 +217,7 @@ mod real {
         train_ns: Counter,
         load_day_ns: Counter,
         load_day_bytes: Counter,
+        reset_bytes: Counter,
         predict_ns: Counter,
         update_ns: Counter,
         candidates: Counter,
@@ -292,6 +296,7 @@ mod real {
             self.train_ns.add(spans.train_ns.get());
             self.load_day_ns.add(spans.load_day_ns.get());
             self.load_day_bytes.add(spans.load_day_bytes.get());
+            self.reset_bytes.add(spans.reset_bytes.get());
             self.predict_ns.add(spans.predict_ns.get());
             self.update_ns.add(spans.update_ns.get());
             self.candidates.add(spans.candidates.get());
@@ -338,6 +343,7 @@ mod real {
             out.push_counter("eval_train_ns_total", &[], self.train_ns.get());
             out.push_counter("eval_load_day_ns_total", &[], self.load_day_ns.get());
             out.push_counter("eval_load_day_bytes_total", &[], self.load_day_bytes.get());
+            out.push_counter("eval_reset_bytes_total", &[], self.reset_bytes.get());
             out.push_counter("eval_predict_ns_total", &[], self.predict_ns.get());
             out.push_counter("eval_update_ns_total", &[], self.update_ns.get());
             out.push_counter("eval_candidates_total", &[], self.candidates.get());
@@ -469,6 +475,7 @@ mod tests {
         spans.candidates.add(7);
         spans.predict_ns.add(1234);
         spans.load_day_bytes.add(4 * 24 * 8);
+        spans.reset_bytes.add(10 * 24 * 8);
         tel.absorb_eval(&spans);
         tel.record_flush(FlushCause::Checkpoint, 2, 4, 5_000);
         tel.sample(
@@ -488,6 +495,10 @@ mod tests {
         assert_eq!(
             snap.counter_value("eval_load_day_bytes_total", &[]),
             4 * 24 * 8
+        );
+        assert_eq!(
+            snap.counter_value("eval_reset_bytes_total", &[]),
+            10 * 24 * 8
         );
         assert_eq!(
             snap.counter_value("search_flushes_total", &[("cause", "checkpoint")]),

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 
 use alphaevolve_core::{
     compile, init, liveness, writes_m0, AlphaConfig, AlphaProgram, EvalOptions, Evaluator,
-    Instruction, Op,
+    Instruction, Kind, Op,
 };
 use alphaevolve_market::{features::FeatureSet, generator::MarketConfig, Dataset, SplitSpec};
 
@@ -81,6 +81,75 @@ fn m0_clobbering_candidate() -> AlphaProgram {
             Instruction::new(Op::MGauss, 0, 0, 0, [0.0, 1.0], [0; 2]),
             Instruction::new(Op::SAbs, 2, 0, 1, [0.0; 2], [0; 2]),
         ],
+        update: vec![Instruction::nop()],
+    }
+}
+
+/// A candidate whose predict draws into every register of `kind` — `m0`
+/// and `s1` included — so each of the slot's planes of that kind holds
+/// per-stock noise when it leaves the tile. The draws are dead
+/// stochastic ops, which lowering keeps.
+fn writes_every_register(cfg: &AlphaConfig, kind: Kind) -> AlphaProgram {
+    let (op, n) = match kind {
+        Kind::S => (Op::SGauss, cfg.n_scalars),
+        Kind::V => (Op::VGauss, cfg.n_vectors),
+        Kind::M => (Op::MGauss, cfg.n_matrices),
+    };
+    AlphaProgram {
+        setup: vec![Instruction::nop()],
+        predict: (0..n)
+            .map(|r| Instruction::new(op, 0, 0, r as u8, [3.0, 1.0], [0; 2]))
+            .collect(),
+        update: vec![Instruction::nop()],
+    }
+}
+
+/// A candidate that reads every register of `kind` but `s1` and `m0`
+/// before it writes it. The first half are read by predict, which adds
+/// them into the prediction; the second half only by update, which adds
+/// each into one of the first half. On zeroed planes they stay zero, so
+/// any plane a reset leaves stale changes the predictions.
+fn reads_every_register_first(cfg: &AlphaConfig, kind: Kind) -> AlphaProgram {
+    let i = |op, a: usize, b: usize, o: usize| {
+        Instruction::new(op, a as u8, b as u8, o as u8, [0.0; 2], [0; 2])
+    };
+    let (regs, read, add): (Vec<usize>, Op, Op) = match kind {
+        Kind::S => (
+            (0..cfg.n_scalars).filter(|&r| r != 1).collect(),
+            Op::NoOp,
+            Op::SAdd,
+        ),
+        Kind::V => ((0..cfg.n_vectors).collect(), Op::VSum, Op::VAdd),
+        Kind::M => ((1..cfg.n_matrices).collect(), Op::MMean, Op::MAdd),
+    };
+    let (front, back) = regs.split_at(regs.len() / 2);
+    let mut predict = vec![i(Op::MMean, 0, 0, 1)];
+    for &r in front {
+        if kind == Kind::S {
+            predict.push(i(Op::SAdd, 1, r, 1));
+        } else {
+            predict.push(i(read, r, 0, 2));
+            predict.push(i(Op::SAdd, 1, 2, 1));
+        }
+    }
+    let update = back
+        .iter()
+        .enumerate()
+        .map(|(j, &r)| i(add, front[j % front.len()], r, front[j % front.len()]))
+        .collect();
+    AlphaProgram {
+        setup: vec![Instruction::nop()],
+        predict,
+        update,
+    }
+}
+
+/// A candidate that never references a register: its predictions are the
+/// `s1` plane its reset left.
+fn silent_candidate() -> AlphaProgram {
+    AlphaProgram {
+        setup: vec![Instruction::nop()],
+        predict: vec![Instruction::nop()],
         update: vec![Instruction::nop()],
     }
 }
@@ -257,6 +326,40 @@ fn load_day_bytes_count_only_the_cells_the_tile_reads() {
     );
 }
 
+/// A slot reset zeroes only the planes its program references, and says
+/// so: the expert seed references its ten scalar registers and nothing
+/// else, so every reset zeroes exactly `10 · K · 8` bytes, in a `B = 1`
+/// tile and in a reused wider one, and the scrape reports that total.
+#[cfg(feature = "obs")]
+#[test]
+fn reset_bytes_count_only_the_planes_the_program_references() {
+    use alphaevolve_core::SearchTelemetry;
+    let ev = small_evaluator();
+    let expert = init::domain_expert(ev.config());
+    let k = ev.dataset().n_stocks() as u64;
+    let per_reset = 10 * k * 8;
+    for (batch, resets) in [(1, 1), (3, 2)] {
+        let mut tile = ev.batch_arena(batch);
+        for _ in 0..resets {
+            tile.clear();
+            tile.push(&expert, false);
+            ev.evaluate_batch_in(&mut tile);
+            assert!(tile.fitness(0).is_some());
+        }
+        let spans = tile.drain_telemetry();
+        assert_eq!(spans.reset_bytes.get(), resets * per_reset);
+
+        let telemetry = SearchTelemetry::new();
+        telemetry.absorb_eval(&spans);
+        let mut snap = alphaevolve_obs::MetricsSnapshot::new();
+        telemetry.snapshot_into(&mut snap);
+        assert_eq!(
+            snap.counter_value("eval_reset_bytes_total", &[]),
+            resets * per_reset
+        );
+    }
+}
+
 /// The op-mix counter counts each lowered instruction once per day its
 /// body ran: one NN seed evaluation runs the fused `W1 += v8 ⊗ x` pass on
 /// every training day, and no separate `v_outer` or `m_add`. A `B = 1`
@@ -332,5 +435,71 @@ proptest! {
             .map(|p| (p, !liveness(p).stateful))
             .collect();
         assert_tile_matches_sequential(&ev, &entries, batch);
+    }
+
+    /// Stale state cannot leak through a slot reset that zeroes only the
+    /// planes a candidate references. One tile, reused, runs a sequence
+    /// of candidates: random programs (which often read a register
+    /// before writing it), the seeds, the stochastic and invalid
+    /// fixtures, and a candidate that fills every register of one kind
+    /// with noise, followed in the same slot of the next tile by one that
+    /// reads all of them before writing, and then by one that never
+    /// writes its prediction. Every slot must score the bits of the same
+    /// candidate in a fresh `B = 1` tile. The fresh tile resets through
+    /// the same footprint, so in debug builds, where a reset fills the
+    /// planes outside the footprint with NaN, the fixtures built to be
+    /// valid must also score: a footprint that misses a read kills them.
+    #[test]
+    fn reused_tile_resets_only_what_candidates_read(
+        seed in any::<u64>(),
+        wide in any::<bool>(),
+        kind in 0usize..3,
+        ns in 1usize..4,
+        np in 1usize..8,
+        nu in 1usize..6,
+    ) {
+        let ev = small_evaluator();
+        let cfg = *ev.config();
+        let batch = if wide { 3 } else { 1 };
+        let kind = [Kind::S, Kind::V, Kind::M][kind];
+        // (candidate, built to be valid)
+        let mut progs: Vec<(AlphaProgram, bool)> = (0..4)
+            .map(|i| (random_program(seed.wrapping_add(i), ns, np, nu), false))
+            .collect();
+        progs.extend([
+            (init::two_layer_nn(&cfg), true),
+            (init::domain_expert(&cfg), true),
+            (stochastic_candidate(), false),
+            (invalid_candidate(), false),
+        ]);
+        // The writer's slot holds the reader one tile later, and the
+        // silent candidate the tile after that.
+        let at = (seed % (progs.len() + 3 - 2 * batch) as u64) as usize;
+        progs.insert(at, (writes_every_register(&cfg, kind), true));
+        progs.insert(at + batch, (reads_every_register_first(&cfg, kind), true));
+        progs.insert(at + 2 * batch, (silent_candidate(), true));
+        progs.push((random_program(seed.wrapping_add(4), ns, np, nu), false));
+
+        let mut tile = ev.batch_arena(batch);
+        for chunk in progs.chunks(batch) {
+            tile.clear();
+            for (prog, _) in chunk {
+                tile.push(prog, !liveness(prog).stateful);
+            }
+            ev.evaluate_batch_in(&mut tile);
+            for (slot, (prog, valid)) in chunk.iter().enumerate() {
+                let (fitness, returns, _) = sequential(&ev, prog, !liveness(prog).stateful);
+                prop_assert!(!valid || fitness.is_some(), "valid candidate killed: {:?}", prog);
+                prop_assert_eq!(
+                    tile.fitness(slot).map(f64::to_bits),
+                    fitness.map(f64::to_bits),
+                    "slot {} saw stale state", slot
+                );
+                prop_assert_eq!(
+                    tile.val_returns(slot).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    returns.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                );
+            }
+        }
     }
 }

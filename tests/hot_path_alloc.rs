@@ -465,12 +465,15 @@ fn evaluation_hot_path_is_allocation_free_once_warm() {
         after - before
     );
 
-    // Phase 6: input-cell masks. Candidates that read different `m0`
-    // cells — four cells (expert), two cells (momentum), one column (NN),
-    // none (kernel-heavy), every cell (stochastic) — refill a warm tile
-    // in changing pairs, so the tile's union mask is recomputed from
-    // different masks each time; the warm `B = 1` tile loads each
-    // candidate's own mask. Neither may allocate.
+    // Phase 6: input-cell masks and register footprints. Candidates that
+    // read different `m0` cells — four cells (expert), two cells
+    // (momentum), one column (NN), none (kernel-heavy), every cell
+    // (stochastic) — and reference different register planes (scalars
+    // only for the formulaic seeds, a matrix and vectors for the NN)
+    // refill a warm tile in changing pairs, so the tile's union mask is
+    // recomputed and each slot resets a different footprint each time;
+    // the warm `B = 1` tile loads each candidate's own mask. Neither may
+    // allocate.
     let momentum = init::momentum(ev.config());
     let pairs: [[&AlphaProgram; 2]; 4] = [
         [&progs[0], &momentum],
